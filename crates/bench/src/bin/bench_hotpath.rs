@@ -1,19 +1,17 @@
 //! Hot-path engine benchmark: measures the deadline-wheel engine and the
 //! event-driven fast-forward against the per-cycle reference on the
-//! saturated total-stall scenario, and the parallel sweep runner against
-//! the serial Fig. 9 campaign. Prints a table and writes the measured
+//! saturated total-stall scenario, the telemetry overhead and the
+//! regulator pass-through. Prints a table and writes the measured
 //! numbers to `BENCH_hotpath.json` at the repository root.
 
 use std::time::Instant;
 
-use faults::FaultClass;
 use tmu::{CounterEngine, TmuVariant};
 use tmu_bench::hotpath::{
     passthrough_link, run_overload_isolation, run_saturated_stall, run_saturated_stall_fastforward,
     run_saturated_stall_with_telemetry, PassthroughLink, StallRun, HOTPATH_BUDGET,
     HOTPATH_OUTSTANDING, REGULATE_CYCLES,
 };
-use tmu_bench::parallel::{default_threads, fig9_parallel};
 use tmu_bench::table::Table;
 
 /// Repetitions per timed measurement; the minimum is reported to shave
@@ -207,33 +205,6 @@ fn main() {
         overload.trunk_faults
     );
 
-    let threads = default_threads();
-    let classes: Vec<FaultClass> = FaultClass::WRITE_CLASSES
-        .iter()
-        .chain(FaultClass::READ_CLASSES.iter())
-        .copied()
-        .collect();
-    let sweep = |threads: usize| {
-        let tc = fig9_parallel(TmuVariant::TinyCounter, &classes, threads);
-        let fc = fig9_parallel(TmuVariant::FullCounter, &classes, threads);
-        (tc, fc)
-    };
-    let (serial_s, serial_rows) = time_min(|| sweep(1));
-    let (parallel_s, parallel_rows) = time_min(|| sweep(threads));
-    assert_eq!(serial_rows, parallel_rows, "parallel sweep diverged");
-    println!(
-        "\nfig9 sweep (2 variants x {} classes): serial {:.3} ms, \
-         parallel({} threads) {:.3} ms, {:.2}x",
-        classes.len(),
-        serial_s * 1e3,
-        threads,
-        parallel_s * 1e3,
-        serial_s / parallel_s
-    );
-    if threads == 1 {
-        println!("note: host reports 1 available CPU; the parallel runner degrades to serial");
-    }
-
     // The vendored serde derive is a no-op stand-in, so the JSON summary
     // is assembled by hand.
     let mut json = String::from("{\n");
@@ -266,7 +237,7 @@ fn main() {
         json_f(enabled_ratio)
     ));
     json.push_str(&format!(
-        "  \"regulator\": {{\"passthrough_cycles\": {REG_BENCH_CYCLES}, \"passthrough_reps\": {REG_REPS}, \"overload_cycles\": {REGULATE_CYCLES}, \"bare_s\": {}, \"passthrough_s\": {}, \"passthrough_overhead_ratio\": {}, \"overload_isolation_s\": {}, \"isolated_at_cycle\": {}, \"victim_completed\": {}, \"offender_completed\": {}, \"trunk_faults\": {}}},\n",
+        "  \"regulator\": {{\"passthrough_cycles\": {REG_BENCH_CYCLES}, \"passthrough_reps\": {REG_REPS}, \"overload_cycles\": {REGULATE_CYCLES}, \"bare_s\": {}, \"passthrough_s\": {}, \"passthrough_overhead_ratio\": {}, \"overload_isolation_s\": {}, \"isolated_at_cycle\": {}, \"victim_completed\": {}, \"offender_completed\": {}, \"trunk_faults\": {}}}\n",
         json_f(bare_s),
         json_f(passthrough_s),
         json_f(passthrough_ratio),
@@ -275,15 +246,6 @@ fn main() {
         overload.victim_completed,
         overload.offender_completed,
         overload.trunk_faults
-    ));
-    json.push_str(&format!(
-        "  \"fig9_sweep\": {{\"variants\": 2, \"classes\": {}, \"host_cpus\": {}, \"threads\": {}, \"serial_s\": {}, \"parallel_s\": {}, \"speedup\": {}}}\n",
-        classes.len(),
-        default_threads(),
-        threads,
-        json_f(serial_s),
-        json_f(parallel_s),
-        json_f(serial_s / parallel_s)
     ));
     json.push_str("}\n");
 

@@ -7,8 +7,6 @@
 //! * [`experiments`] — the computation behind every figure/table, as
 //!   plain functions returning data (the `src/bin/*` binaries only
 //!   print; integration tests assert on the same data).
-//! * [`parallel`] — a scoped-thread sweep runner that fans independent
-//!   sweep points out over worker threads, bit-identical to serial.
 //! * [`hotpath`] — the saturated total-stall scenarios behind the
 //!   `bench_hotpath` binary and `BENCH_hotpath.json`.
 //!
@@ -32,6 +30,5 @@
 
 pub mod experiments;
 pub mod hotpath;
-pub mod parallel;
 pub mod related;
 pub mod table;

@@ -51,16 +51,6 @@ pub struct TelemetryCfg {
     pub event_crate: String,
 }
 
-/// One direction-parity pair (L5): both types must expose identical
-/// inherent method sets.
-#[derive(Debug, Clone)]
-pub struct PairCfg {
-    /// First type name.
-    pub left: String,
-    /// Second type name.
-    pub right: String,
-}
-
 /// Path-scoped suppression of whole lints.
 #[derive(Debug, Clone)]
 pub struct PathAllow {
@@ -84,8 +74,6 @@ pub struct Config {
     pub header_require: Vec<String>,
     /// L4 settings.
     pub telemetry: TelemetryCfg,
-    /// L5 pairs.
-    pub parity: Vec<PairCfg>,
     /// Path-scoped suppressions.
     pub allows: Vec<PathAllow>,
 }
@@ -112,7 +100,6 @@ impl Default for Config {
                 event_enum: "TraceEvent".to_string(),
                 event_crate: "tmu-telemetry".to_string(),
             },
-            parity: Vec::new(),
             allows: Vec::new(),
         }
     }
@@ -144,15 +131,13 @@ enum Section {
     Panic,
     CrateHeader,
     Telemetry,
-    ParityPair,
     Allow,
 }
 
 impl Config {
-    /// Parses the `lint.toml` text. Every `[[two_phase.allow]]`,
-    /// `[[parity.pair]]` and `[[allow]]` entry must carry a non-empty
-    /// `reason` where required — suppressions without justification are
-    /// configuration errors, not warnings.
+    /// Parses the `lint.toml` text. Every `[[two_phase.allow]]` and
+    /// `[[allow]]` entry must carry a non-empty `reason` — suppressions
+    /// without justification are configuration errors, not warnings.
     pub fn parse(text: &str) -> Result<Config, ConfigError> {
         let mut cfg = Config::default();
         let mut section = Section::None;
@@ -173,13 +158,6 @@ impl Config {
                             reason: String::new(),
                         });
                         Section::TwoPhaseAllow
-                    }
-                    "parity.pair" => {
-                        cfg.parity.push(PairCfg {
-                            left: String::new(),
-                            right: String::new(),
-                        });
-                        Section::ParityPair
                     }
                     "allow" => {
                         cfg.allows.push(PathAllow {
@@ -232,12 +210,6 @@ impl Config {
                 }
                 (Section::Telemetry, "event_crate") => {
                     cfg.telemetry.event_crate = value.string(n)?;
-                }
-                (Section::ParityPair, "left") => {
-                    last(&mut cfg.parity, n)?.left = value.string(n)?;
-                }
-                (Section::ParityPair, "right") => {
-                    last(&mut cfg.parity, n)?.right = value.string(n)?;
                 }
                 (Section::Allow, "path") => last(&mut cfg.allows, n)?.path = value.string(n)?,
                 (Section::Allow, "lints") => last(&mut cfg.allows, n)?.lints = value.strings(n)?,
@@ -404,10 +376,6 @@ reason = "commit-edge entry points"
 [panic_hygiene]
 min_expect_len = 16
 
-[[parity.pair]]
-left = "WriteGuard"
-right = "ReadGuard"
-
 [[allow]]
 path = "vendor/"
 lints = ["*"]
@@ -418,7 +386,6 @@ reason = "vendored stand-ins keep upstream style"
         assert_eq!(cfg.two_phase.allow.len(), 1);
         assert_eq!(cfg.two_phase.allow[0].methods, ["advance", "advance_to"]);
         assert_eq!(cfg.panic.min_expect_len, 16);
-        assert_eq!(cfg.parity[0].right, "ReadGuard");
         assert_eq!(cfg.allows[0].lints, ["*"]);
     }
 

@@ -14,8 +14,6 @@ pub enum Lint {
     CrateHeader,
     /// L4: trace-event vocabulary or record-site discipline violated.
     Telemetry,
-    /// L5: direction pair exposes asymmetric inherent APIs.
-    DirectionParity,
 }
 
 impl Lint {
@@ -27,17 +25,15 @@ impl Lint {
             Lint::PanicHygiene => "panic-hygiene",
             Lint::CrateHeader => "crate-header",
             Lint::Telemetry => "telemetry",
-            Lint::DirectionParity => "direction-parity",
         }
     }
 
     /// All lints, for `--list` style output and tests.
-    pub const ALL: [Lint; 5] = [
+    pub const ALL: [Lint; 4] = [
         Lint::TwoPhase,
         Lint::PanicHygiene,
         Lint::CrateHeader,
         Lint::Telemetry,
-        Lint::DirectionParity,
     ];
 }
 

@@ -5,7 +5,7 @@
 //! miscount a cycle or mis-order a handshake. The Rust reproduction
 //! encodes that as conventions — the two-phase drive/commit discipline,
 //! allocation-free telemetry gating, the `Direction`-generic guard
-//! engine — and this tool makes the conventions machine-checked. Five
+//! engine — and this tool makes the conventions machine-checked. Four
 //! deny-by-default lints:
 //!
 //! | name | invariant |
@@ -14,7 +14,6 @@
 //! | `panic-hygiene` | no `unwrap()`/weak `expect`/`panic!` in non-test code |
 //! | `crate-header` | crate roots forbid `unsafe` and warn on missing docs |
 //! | `telemetry` | every `TraceEvent` variant is recorded; record sites never allocate ungated |
-//! | `direction-parity` | `WriteGuard`/`ReadGuard` expose identical inherent APIs |
 //!
 //! Suppressions live in the checked-in `lint.toml` and each must carry
 //! a `reason` string. The parser is a hand-rolled `syn` stand-in (the
@@ -56,7 +55,6 @@ pub fn run_lints(ws: &Workspace, cfg: &Config, root: &Path) -> Outcome {
     diags.extend(lints::panic_hygiene::check(ws, cfg, root));
     diags.extend(lints::crate_header::check(ws, cfg, root));
     diags.extend(lints::telemetry::check(ws, cfg, root));
-    diags.extend(lints::parity::check(ws, cfg, root));
 
     let before = diags.len();
     diags.retain(|d| !suppressed(d, cfg));

@@ -1,8 +1,7 @@
-//! The lint passes (L1–L5) and shared token-scanning helpers.
+//! The lint passes (L1–L4) and shared token-scanning helpers.
 
 pub mod crate_header;
 pub mod panic_hygiene;
-pub mod parity;
 pub mod telemetry;
 pub mod two_phase;
 

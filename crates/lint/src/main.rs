@@ -32,9 +32,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!("usage: tmu-lint [--json] [--root DIR] [--config FILE]");
-                println!(
-                    "lints: two-phase, panic-hygiene, crate-header, telemetry, direction-parity"
-                );
+                println!("lints: two-phase, panic-hygiene, crate-header, telemetry");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument `{other}`")),

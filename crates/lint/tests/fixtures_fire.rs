@@ -99,24 +99,6 @@ fn telemetry_fires_on_fixture() {
     );
 }
 
-#[test]
-fn parity_fires_on_fixture() {
-    let cfg = Config::parse("[[parity.pair]]\nleft = \"WriteGuardFx\"\nright = \"ReadGuardFx\"\n")
-        .expect("inline parity config parses");
-    let ws = ws_of("fx", &["parity_bad.rs"]);
-    let found = lints_of(&ws, &cfg);
-    let fired: Vec<_> = found
-        .iter()
-        .filter(|(l, _)| *l == Lint::DirectionParity)
-        .collect();
-    assert_eq!(
-        fired.len(),
-        2,
-        "each unmirrored inherent method must be reported once \
-         (mirrored methods and trait impls exempt): {found:?}"
-    );
-}
-
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()

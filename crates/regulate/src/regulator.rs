@@ -15,7 +15,7 @@
 //! 5. [`Regulator::commit`] at the clock edge.
 
 use axi4::channel::AxiPort;
-use tmu::{BudgetConfig, CounterEngine, Tmu, TmuConfig, TmuState, TmuVariant};
+use tmu::{BudgetConfig, Tmu, TmuConfig, TmuState, TmuVariant};
 use tmu_telemetry::{Dir, TelemetryConfig, TelemetryHub, TraceEvent};
 
 use crate::budget::{BudgetUnit, CycleSpend};
@@ -75,8 +75,6 @@ pub struct Regulator {
     q_denies: u64,
     /// Committed state: isolations commanded since construction.
     q_isolations: u64,
-    /// Committed state: cycles committed.
-    q_cycles: u64,
 }
 
 impl Regulator {
@@ -92,7 +90,6 @@ impl Regulator {
     pub fn new(cfg: RegulatorConfig) -> Self {
         let tracker_cfg = TmuConfig::builder()
             .variant(TmuVariant::TinyCounter)
-            .engine(CounterEngine::PerCycle)
             .check_protocol(false)
             .max_uniq_ids(cfg.max_uniq_ids())
             .txn_per_id(cfg.txn_per_id())
@@ -124,7 +121,6 @@ impl Regulator {
             q_grants: 0,
             q_denies: 0,
             q_isolations: 0,
-            q_cycles: 0,
         }
     }
 
@@ -284,7 +280,6 @@ impl Regulator {
     /// configured threshold, and commits the tracker.
     #[inline]
     pub fn commit(&mut self, cycle: u64) {
-        self.q_cycles = cycle + 1;
         if self.cfg.enabled() {
             self.commit_enabled(cycle);
         }

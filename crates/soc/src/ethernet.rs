@@ -57,6 +57,10 @@ struct RxJob {
     ar: ArBeat,
     beats_done: u16,
     warmup: u64,
+    /// Data of the beat presented but not yet accepted: AXI keeps a
+    /// valid R payload stable until it fires, even when a W beat
+    /// rewrites its buffer word meanwhile.
+    held: Option<u64>,
 }
 
 /// The Ethernet-like subordinate. See the [module docs](self).
@@ -158,8 +162,11 @@ impl EthSub {
         if let Some(job) = self.rx.front() {
             if job.warmup == 0 {
                 let idx = job.beats_done;
-                let addr = beat_address(job.ar.addr, job.ar.size, job.ar.len, job.ar.burst, idx);
-                let data = self.buffer[self.buffer_index(addr)];
+                let data = job.held.unwrap_or_else(|| {
+                    let addr =
+                        beat_address(job.ar.addr, job.ar.size, job.ar.len, job.ar.burst, idx);
+                    self.buffer[self.buffer_index(addr)]
+                });
                 let last = idx + 1 == job.ar.len.beats();
                 port.r.drive(RBeat::new(job.ar.id, data, Resp::Okay, last));
             }
@@ -209,15 +216,19 @@ impl EthSub {
                 ar: *ar,
                 beats_done: 0,
                 warmup: self.cfg.rx_warmup,
+                held: None,
             });
         }
         if port.r.fires() {
             self.beats_rxed += 1;
             let job = self.rx.front_mut().expect("R fired with an RX in flight");
             job.beats_done += 1;
+            job.held = None;
             if job.beats_done == job.ar.len.beats() {
                 self.rx.pop_front();
             }
+        } else if let (Some(r), Some(job)) = (port.r.beat(), self.rx.front_mut()) {
+            job.held = Some(r.data);
         }
         // Pacing wheel and timers.
         let period = self.cfg.pace_on + self.cfg.pace_off;
@@ -347,6 +358,49 @@ mod tests {
         }
         assert_eq!(data, vec![0x100, 0x101, 0x102, 0x103]);
         assert_eq!(eth.beats_rxed(), 3, "last beat counted at next commit");
+    }
+
+    #[test]
+    fn stalled_r_beat_keeps_its_data_while_w_rewrites_the_word() {
+        let mut eth = EthSub::default();
+        do_frame(&mut eth, 0, 1);
+        let read = TxnBuilder::new(AxiId(1), Addr(0)).incr(1).read().unwrap();
+        let write = TxnBuilder::new(AxiId(2), Addr(0))
+            .incr(1)
+            .write(vec![0xBEEF])
+            .unwrap();
+        let mut port = AxiPort::new();
+        let (mut ar_done, mut aw_done, mut w_done) = (false, false, false);
+        let mut stalled_data = None;
+        for _ in 0..100 {
+            port.begin_cycle();
+            if !ar_done {
+                port.ar.drive(read.ar_beat());
+            }
+            // The write starts once the read data is on the wires; the
+            // manager stalls R until the write has landed.
+            if stalled_data.is_some() && !aw_done {
+                port.aw.drive(write.aw_beat());
+            } else if aw_done && !w_done {
+                port.w.drive(write.w_beat(0));
+            }
+            port.r.set_ready(w_done);
+            port.b.set_ready(true);
+            eth.drive(&mut port);
+            if let Some(r) = port.r.beat() {
+                let first = *stalled_data.get_or_insert(r.data);
+                assert_eq!(r.data, first, "R payload changed while stalled");
+                if port.r.fires() {
+                    assert_eq!(r.data, 0x100, "the read returns the pre-write word");
+                    return;
+                }
+            }
+            ar_done |= port.ar.fires();
+            aw_done |= port.aw.fires();
+            w_done |= port.w.fires();
+            eth.commit(&port);
+        }
+        panic!("the stalled read never completed");
     }
 
     #[test]

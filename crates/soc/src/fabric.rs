@@ -1,18 +1,21 @@
-//! A sharded monitoring fabric: one TMU slot per demux port.
+//! Port banks: one optional per-cycle unit per port.
 //!
-//! The paper monitors a single subordinate; scaling the approach to many
-//! endpoints means instantiating one (cheap) TMU per monitored link and
-//! merging their fault/interrupt views — the deployment model argued for
-//! by AXI-REALM's per-manager units and IMS's reusable monitors.
-//! [`MonitorFabric`] is that composition step: it owns an optional
-//! [`Tmu`] (plus its dedicated reset line) for each demux port and
-//! exposes the TMU's per-cycle passes *per port*, falling back to plain
-//! wire forwarding on unmonitored ports so the datapath is identical
-//! with and without a monitor.
+//! The paper's TMU is a drop-in unit spliced into one subordinate port;
+//! AXI-REALM's regulator (`tmu-regulate`) is a drop-in unit spliced into
+//! one manager port. Both follow the same per-cycle pass contract,
+//! captured by [`PortStage`]. A [`PortBank`] owns one optional stage per
+//! port and falls back to plain wire forwarding on empty ports, so the
+//! datapath is identical with and without a unit attached. It is the
+//! only place in this crate that spells out that empty-port rule.
 //!
-//! Each slot recovers independently: a fault on one port severs, aborts,
-//! and resets only that port's subordinate while the others keep moving
-//! traffic. The fabric's merged views ([`MonitorFabric::irq_pending`],
+//! [`MonitorFabric`] is the bank of per-port TMUs behind the demux —
+//! scaling the paper's single monitored subordinate to many endpoints by
+//! instantiating one (cheap) TMU per link and merging their
+//! fault/interrupt views, the deployment model argued for by AXI-REALM's
+//! per-manager units and IMS's reusable monitors. Each slot recovers
+//! independently: a fault on one port severs, aborts, and resets only
+//! that port's subordinate while the others keep moving traffic. The
+//! merged views ([`MonitorFabric::irq_pending`],
 //! [`MonitorFabric::faults_detected`], [`MonitorFabric::next_deadline`])
 //! give the CPU / event-driven harness a single aggregation point.
 
@@ -21,36 +24,175 @@ use sim::Reset;
 use tmu::{Tmu, TmuConfig};
 use tmu_telemetry::TelemetryConfig;
 
-/// One monitored port: the TMU and its subordinate's reset line.
-#[derive(Debug)]
-struct MonitorSlot {
-    tmu: Tmu,
-    reset: Reset,
+/// A unit spliced into one port that follows the per-cycle pass order
+/// of [`Tmu`]: both forwarding passes, the optional late response-ready
+/// back-propagation, the observe tap and the clock commit.
+pub trait PortStage {
+    /// Pass 1: forward manager-driven wires towards the subordinate.
+    fn forward_request(&mut self, mgr: &AxiPort, sub: &mut AxiPort);
+    /// Pass 2: forward subordinate-driven wires back to the manager.
+    fn forward_response(&mut self, sub: &AxiPort, mgr: &mut AxiPort);
+    /// Late-settling B/R `ready` back-propagation, for harnesses where
+    /// the manager side's response readys settle after pass 2.
+    fn backprop_response_ready(&mut self, mgr: &AxiPort, sub: &mut AxiPort);
+    /// Pass 3: tap the settled manager-side wires.
+    fn observe(&mut self, mgr: &AxiPort);
+    /// Clock commit for `cycle`. Returns `true` when the port's
+    /// subordinate finished a reset this cycle; the bank's owner must
+    /// then reinitialize that subordinate model.
+    fn commit(&mut self, cycle: u64) -> bool;
+    /// Switches the stage's telemetry on.
+    fn enable_telemetry(&mut self, config: TelemetryConfig);
 }
 
-/// A bank of per-port TMUs with a merged fault/interrupt view. See the
-/// [module docs](self).
+/// A bank of optional per-port [`PortStage`]s with wire pass-through on
+/// empty ports and a merged commit. See the [module docs](self).
 #[derive(Debug)]
-pub struct MonitorFabric {
-    slots: Vec<Option<MonitorSlot>>,
+pub struct PortBank<S> {
+    slots: Vec<Option<S>>,
 }
 
-impl MonitorFabric {
-    /// A fabric covering `ports` demux ports, all initially unmonitored
-    /// (pass-through).
+impl<S: PortStage> PortBank<S> {
+    /// A bank covering `ports` ports, all initially empty (pass-through).
     #[must_use]
     pub fn new(ports: usize) -> Self {
-        MonitorFabric {
+        PortBank {
             slots: (0..ports).map(|_| None).collect(),
         }
     }
 
-    /// Number of ports the fabric spans (monitored or not).
+    /// Number of ports the bank spans (occupied or not).
     #[must_use]
     pub fn ports(&self) -> usize {
         self.slots.len()
     }
 
+    /// Places `stage` on `port`, replacing any previous one.
+    pub(crate) fn insert(&mut self, port: usize, stage: S) {
+        self.slots[port] = Some(stage);
+    }
+
+    /// The stage on `port`, if one is attached.
+    #[must_use]
+    pub(crate) fn stage(&self, port: usize) -> Option<&S> {
+        self.slots.get(port)?.as_ref()
+    }
+
+    /// Mutable access to the stage on `port`, if one is attached.
+    pub(crate) fn stage_mut(&mut self, port: usize) -> Option<&mut S> {
+        self.slots.get_mut(port)?.as_mut()
+    }
+
+    /// Every attached stage, in port order.
+    pub(crate) fn stages(&self) -> impl Iterator<Item = &S> {
+        self.slots.iter().flatten()
+    }
+
+    /// Pass 1 for `port`: through the stage when one is attached, as a
+    /// plain wire copy otherwise.
+    pub fn forward_request(&mut self, port: usize, mgr: &AxiPort, sub: &mut AxiPort) {
+        match &mut self.slots[port] {
+            Some(stage) => stage.forward_request(mgr, sub),
+            None => sub.forward_request_from(mgr),
+        }
+    }
+
+    /// Pass 2 for `port`: through the stage when one is attached, as a
+    /// plain wire copy otherwise.
+    pub fn forward_response(&mut self, port: usize, sub: &AxiPort, mgr: &mut AxiPort) {
+        match &mut self.slots[port] {
+            Some(stage) => stage.forward_response(sub, mgr),
+            None => mgr.forward_response_from(sub),
+        }
+    }
+
+    /// Late-settling B/R `ready` back-propagation for `port` (see
+    /// [`PortStage::backprop_response_ready`]).
+    pub fn backprop_response_ready(&mut self, port: usize, mgr: &AxiPort, sub: &mut AxiPort) {
+        match &mut self.slots[port] {
+            Some(stage) => stage.backprop_response_ready(mgr, sub),
+            None => {
+                sub.b.forward_ready_from(&mgr.b);
+                sub.r.forward_ready_from(&mgr.r);
+            }
+        }
+    }
+
+    /// Pass 3 for `port`: the stage (if any) taps the settled
+    /// manager-side wires.
+    pub fn observe(&mut self, port: usize, mgr: &AxiPort) {
+        if let Some(stage) = &mut self.slots[port] {
+            stage.observe(mgr);
+        }
+    }
+
+    /// Clock commit for every attached stage, independently. Returns the
+    /// ports whose subordinate finished a reset this cycle — the caller
+    /// must reinitialize those subordinate models.
+    pub fn commit(&mut self, cycle: u64) -> Vec<usize> {
+        self.slots
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(port, slot)| slot.as_mut()?.commit(cycle).then_some(port))
+            .collect()
+    }
+
+    /// Switches telemetry on for every attached stage.
+    pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
+        for stage in self.slots.iter_mut().flatten() {
+            stage.enable_telemetry(config);
+        }
+    }
+}
+
+/// One monitored port: the TMU and its subordinate's dedicated reset
+/// line, which closes the TMU's recovery loop.
+#[derive(Debug)]
+pub struct Monitor {
+    tmu: Tmu,
+    reset: Reset,
+}
+
+impl PortStage for Monitor {
+    fn forward_request(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
+        self.tmu.forward_request(mgr, sub);
+    }
+
+    fn forward_response(&mut self, sub: &AxiPort, mgr: &mut AxiPort) {
+        self.tmu.forward_response(sub, mgr);
+    }
+
+    fn backprop_response_ready(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
+        self.tmu.backprop_response_ready(mgr, sub);
+    }
+
+    fn observe(&mut self, mgr: &AxiPort) {
+        self.tmu.observe(mgr);
+    }
+
+    fn commit(&mut self, cycle: u64) -> bool {
+        self.tmu.commit(cycle);
+        if self.tmu.take_reset_request() {
+            self.reset.request();
+        }
+        self.reset.tick();
+        let done = self.reset.is_done_pulse();
+        if done {
+            self.tmu.reset_done();
+        }
+        done
+    }
+
+    fn enable_telemetry(&mut self, config: TelemetryConfig) {
+        self.tmu.enable_telemetry(config);
+    }
+}
+
+/// A bank of per-port TMUs with a merged fault/interrupt view. See the
+/// [module docs](self).
+pub type MonitorFabric = PortBank<Monitor>;
+
+impl MonitorFabric {
     /// Attaches a TMU to `port`, replacing any previous monitor there.
     /// `reset_duration` is the assertion length of the subordinate's
     /// dedicated reset line.
@@ -59,117 +201,51 @@ impl MonitorFabric {
     ///
     /// Panics if `port` is out of range.
     pub fn attach(&mut self, port: usize, cfg: TmuConfig, reset_duration: u64) {
-        self.slots[port] = Some(MonitorSlot {
-            tmu: Tmu::new(cfg),
-            reset: Reset::with_duration(reset_duration),
-        });
+        self.insert(
+            port,
+            Monitor {
+                tmu: Tmu::new(cfg),
+                reset: Reset::with_duration(reset_duration),
+            },
+        );
     }
 
     /// Whether `port` has a monitor attached.
     #[must_use]
     pub fn is_monitored(&self, port: usize) -> bool {
-        self.slots.get(port).is_some_and(Option::is_some)
+        self.stage(port).is_some()
     }
 
     /// The TMU on `port`, if one is attached.
     #[must_use]
     pub fn tmu(&self, port: usize) -> Option<&Tmu> {
-        self.slots.get(port)?.as_ref().map(|s| &s.tmu)
+        self.stage(port).map(|m| &m.tmu)
     }
 
     /// Mutable access to the TMU on `port` (register writes, IRQ
     /// clearing), if one is attached.
     pub fn tmu_mut(&mut self, port: usize) -> Option<&mut Tmu> {
-        self.slots.get_mut(port)?.as_mut().map(|s| &mut s.tmu)
-    }
-
-    /// Pass 1 for `port`: forward manager-driven wires to the
-    /// subordinate — through the TMU when monitored (stall gating,
-    /// severing), as a plain wire copy otherwise.
-    pub fn forward_request(&mut self, port: usize, mgr: &AxiPort, sub: &mut AxiPort) {
-        match &mut self.slots[port] {
-            Some(slot) => slot.tmu.forward_request(mgr, sub),
-            None => sub.forward_request_from(mgr),
-        }
-    }
-
-    /// Pass 2 for `port`: forward subordinate-driven wires back to the
-    /// manager — through the TMU when monitored (`SLVERR` aborts while
-    /// severed), as a plain wire copy otherwise.
-    pub fn forward_response(&mut self, port: usize, sub: &AxiPort, mgr: &mut AxiPort) {
-        match &mut self.slots[port] {
-            Some(slot) => slot.tmu.forward_response(sub, mgr),
-            None => mgr.forward_response_from(sub),
-        }
-    }
-
-    /// Late-settling B/R `ready` back-propagation for `port` (see
-    /// [`Tmu::backprop_response_ready`]).
-    pub fn backprop_response_ready(&mut self, port: usize, mgr: &AxiPort, sub: &mut AxiPort) {
-        match &mut self.slots[port] {
-            Some(slot) => slot.tmu.backprop_response_ready(mgr, sub),
-            None => {
-                sub.b.forward_ready_from(&mgr.b);
-                sub.r.forward_ready_from(&mgr.r);
-            }
-        }
-    }
-
-    /// Pass 3 for `port`: the monitor (if any) taps the settled
-    /// manager-side wires.
-    pub fn observe(&mut self, port: usize, mgr: &AxiPort) {
-        if let Some(slot) = &mut self.slots[port] {
-            slot.tmu.observe(mgr);
-        }
-    }
-
-    /// Clock commit for every monitored port: advances each TMU and its
-    /// reset line, independently. Returns the ports whose subordinate
-    /// reset line completed this cycle (done pulse) — the caller must
-    /// reinitialize those subordinate models; the TMUs themselves have
-    /// already been notified via [`Tmu::reset_done`].
-    pub fn commit(&mut self, cycle: u64) -> Vec<usize> {
-        let mut reset_done_ports = Vec::new();
-        for (port, slot) in self.slots.iter_mut().enumerate() {
-            let Some(slot) = slot else { continue };
-            slot.tmu.commit(cycle);
-            if slot.tmu.take_reset_request() {
-                slot.reset.request();
-            }
-            slot.reset.tick();
-            if slot.reset.is_done_pulse() {
-                slot.tmu.reset_done();
-                reset_done_ports.push(port);
-            }
-        }
-        reset_done_ports
+        self.stage_mut(port).map(|m| &mut m.tmu)
     }
 
     /// Reset requests `port`'s subordinate has received (0 when
     /// unmonitored — an unmonitored port has no reset line).
     #[must_use]
     pub fn reset_requests(&self, port: usize) -> u64 {
-        self.slots[port].as_ref().map_or(0, |s| s.reset.requests())
+        self.stage(port).map_or(0, |m| m.reset.requests())
     }
 
     /// Merged level interrupt: the OR of every monitored port's IRQ
     /// line, like a shared interrupt-controller input.
     #[must_use]
     pub fn irq_pending(&self) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .any(|slot| slot.tmu.irq_pending())
+        self.stages().any(|m| m.tmu.irq_pending())
     }
 
     /// Total fault events detected across all monitored ports.
     #[must_use]
     pub fn faults_detected(&self) -> u64 {
-        self.slots
-            .iter()
-            .flatten()
-            .map(|slot| slot.tmu.faults_detected())
-            .sum()
+        self.stages().map(|m| m.tmu.faults_detected()).sum()
     }
 
     /// The earliest future cycle at which any monitored port's timeout
@@ -178,15 +254,8 @@ impl MonitorFabric {
         self.slots
             .iter_mut()
             .flatten()
-            .filter_map(|slot| slot.tmu.next_deadline())
+            .filter_map(|m| m.tmu.next_deadline())
             .min()
-    }
-
-    /// Switches the unified telemetry layer on for every attached TMU.
-    pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
-        for slot in self.slots.iter_mut().flatten() {
-            slot.tmu.enable_telemetry(config);
-        }
     }
 }
 

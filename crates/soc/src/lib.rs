@@ -19,11 +19,13 @@
 //!   pacing, frame accounting and a hardware reset input.
 //! * [`link`] — a single guarded manager↔subordinate link, the
 //!   IP-level fault-injection harness of Fig. 9.
-//! * [`fabric`] — a sharded bank of per-port TMUs behind the demux, with
-//!   merged fault/interrupt views and independent per-port recovery.
-//! * [`regulated`] — per-manager credit regulators upstream of the mux
-//!   (bandwidth budgeting and misbehaving-manager isolation) and the
-//!   regulated shared-subordinate link assembly.
+//! * [`fabric`] — the generic per-port stage bank ([`fabric::PortBank`])
+//!   and its TMU instance, a sharded bank of per-port TMUs behind the
+//!   demux with merged fault/interrupt views and independent per-port
+//!   recovery.
+//! * [`regulated`] — the bank of per-manager credit regulators upstream
+//!   of the mux (bandwidth budgeting and misbehaving-manager isolation)
+//!   and the regulated shared-subordinate link assembly.
 //! * [`probe`] — VCD waveform probing of any port's wires.
 //! * [`system`] — the full assembly: two managers → mux → demux →
 //!   {memory, TMU + Ethernet}, plus the reset controller and interrupt

@@ -13,81 +13,81 @@
 //! can starve its neighbours — and the trunk TMU, which would otherwise
 //! time the victim transactions out, never sees a fault.
 //!
-//! * [`RegulatedFabric`] — a bank of per-manager regulator slots with
-//!   pass-through on unregulated ports (mirrors
-//!   [`crate::fabric::MonitorFabric`]).
+//! * [`RegulatedFabric`] — the [`PortBank`] of per-manager regulators,
+//!   with pass-through on unregulated ports.
 //! * [`RegulatedLink`] — N traffic generators → regulators → mux →
-//!   optional trunk TMU → one subordinate; the A/B harness used by the
-//!   mixed-criticality example, the recovery matrix and the benches.
+//!   optional trunk TMU (a one-port [`MonitorFabric`]) → one
+//!   subordinate; the A/B harness used by the mixed-criticality example,
+//!   the recovery matrix and the benches.
 
 use axi4::channel::AxiPort;
 use faults::BudgetExhaustion;
-use sim::Reset;
 use tmu::{Tmu, TmuConfig};
 use tmu_regulate::{Regulator, RegulatorConfig};
 use tmu_telemetry::TelemetryConfig;
 
+use crate::fabric::{MonitorFabric, PortBank, PortStage};
 use crate::link::AxiSubordinate;
 use crate::manager::{MgrStats, TrafficGen, TrafficPattern};
 use crate::mux::Mux;
 
-/// A bank of per-manager-port regulator slots. Unregulated ports are
-/// plain wire copies, so the fabric can front any mux without caring
-/// which ports opted in.
-///
-/// The per-cycle protocol per port is the [`Regulator`]'s; the fabric
-/// only adds the slot indirection and the merged commit.
-#[derive(Debug)]
-pub struct RegulatedFabric {
-    slots: Vec<Option<Regulator>>,
-    /// Per-port fast-path gate: true only when the slot carries an
-    /// *enabled* regulator. Disabled regulators are wire-exact
-    /// pass-throughs, so the per-cycle hot loop skips them without
-    /// touching the (large) regulator state at all.
-    active: Vec<bool>,
-}
+/// The trunk's port index in the link's one-port monitor bank.
+const TRUNK: usize = 0;
 
-impl RegulatedFabric {
-    /// A fabric spanning `ports` manager ports, all unregulated.
-    #[must_use]
-    pub fn new(ports: usize) -> Self {
-        RegulatedFabric {
-            slots: (0..ports).map(|_| None).collect(),
-            active: vec![false; ports],
-        }
+/// A regulator never resets its manager: an isolation is released by
+/// software ([`Regulator::release`]), so `commit` never reports a
+/// finished reset.
+impl PortStage for Regulator {
+    fn forward_request(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
+        Regulator::forward_request(self, mgr, sub);
     }
 
+    fn forward_response(&mut self, sub: &AxiPort, mgr: &mut AxiPort) {
+        Regulator::forward_response(self, sub, mgr);
+    }
+
+    fn backprop_response_ready(&mut self, mgr: &AxiPort, sub: &mut AxiPort) {
+        Regulator::backprop_response_ready(self, mgr, sub);
+    }
+
+    fn observe(&mut self, mgr: &AxiPort) {
+        Regulator::observe(self, mgr);
+    }
+
+    fn commit(&mut self, cycle: u64) -> bool {
+        Regulator::commit(self, cycle);
+        false
+    }
+
+    fn enable_telemetry(&mut self, config: TelemetryConfig) {
+        Regulator::enable_telemetry(self, config);
+    }
+}
+
+/// A bank of per-manager-port regulator slots. Unregulated ports are
+/// plain wire copies, so the fabric can front any mux without caring
+/// which ports opted in; a disabled regulator is a wire copy too.
+pub type RegulatedFabric = PortBank<Regulator>;
+
+impl RegulatedFabric {
     /// Instantiates a regulator on `port`.
     ///
     /// # Panics
     ///
     /// Panics if `port` is out of range.
     pub fn attach(&mut self, port: usize, cfg: RegulatorConfig) {
-        self.active[port] = cfg.enabled();
-        self.slots[port] = Some(Regulator::new(cfg));
-    }
-
-    /// Number of manager ports spanned.
-    #[must_use]
-    pub fn ports(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if `port` carries a regulator.
-    #[must_use]
-    pub fn is_regulated(&self, port: usize) -> bool {
-        self.slots.get(port).is_some_and(Option::is_some)
+        self.insert(port, Regulator::new(cfg));
     }
 
     /// The regulator on `port`, if any.
     #[must_use]
     pub fn regulator(&self, port: usize) -> Option<&Regulator> {
-        self.slots.get(port).and_then(Option::as_ref)
+        self.stage(port)
     }
 
     /// Mutable regulator access (telemetry, release).
     pub fn regulator_mut(&mut self, port: usize) -> Option<&mut Regulator> {
-        self.slots.get_mut(port).and_then(Option::as_mut)
+        self.stage_mut(port)
     }
 
     /// Static mux priorities gathered from the attached configurations
@@ -95,10 +95,8 @@ impl RegulatedFabric {
     /// priority 0 and plain round-robin suffices.
     #[must_use]
     pub fn priorities(&self) -> Option<Vec<u8>> {
-        let prio: Vec<u8> = self
-            .slots
-            .iter()
-            .map(|s| s.as_ref().map_or(0, |r| r.config().priority()))
+        let prio: Vec<u8> = (0..self.ports())
+            .map(|port| self.stage(port).map_or(0, |r| r.config().priority()))
             .collect();
         if prio.iter().all(|&p| p == 0) {
             None
@@ -107,86 +105,16 @@ impl RegulatedFabric {
         }
     }
 
-    /// Pass 1 on `port`: gate the manager's request wires onto the
-    /// mux-side port (wire copy when unregulated).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is out of range.
-    pub fn forward_request(&mut self, port: usize, mgr: &AxiPort, out: &mut AxiPort) {
-        if self.active[port] {
-            self.slots[port]
-                .as_mut()
-                .expect("active implies an attached regulator")
-                .forward_request(mgr, out);
-        } else {
-            out.forward_request_from(mgr);
-        }
-    }
-
-    /// Pass 2 on `port`: forward the mux-side response wires back to the
-    /// manager (wire copy when unregulated).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is out of range.
-    pub fn forward_response(&mut self, port: usize, out: &AxiPort, mgr: &mut AxiPort) {
-        if self.active[port] {
-            self.slots[port]
-                .as_mut()
-                .expect("active implies an attached regulator")
-                .forward_response(out, mgr);
-        } else {
-            mgr.forward_response_from(out);
-        }
-    }
-
-    /// Pass 3 on `port`: tap the settled manager-side wires.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is out of range.
-    pub fn observe(&mut self, port: usize, mgr: &AxiPort) {
-        if self.active[port] {
-            self.slots[port]
-                .as_mut()
-                .expect("active implies an attached regulator")
-                .observe(mgr);
-        }
-    }
-
-    /// Clock commit for every active regulator.
-    pub fn commit(&mut self, cycle: u64) {
-        for (slot, &active) in self.slots.iter_mut().zip(&self.active) {
-            if !active {
-                continue;
-            }
-            if let Some(reg) = slot.as_mut() {
-                reg.commit(cycle);
-            }
-        }
-    }
-
     /// True while any port is isolated.
     #[must_use]
     pub fn any_isolated(&self) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .any(tmu_regulate::Regulator::is_isolated)
+        self.stages().any(Regulator::is_isolated)
     }
 
     /// Re-admits an isolated `port`; returns `false` when the port has
     /// no regulator or its release preconditions are not met yet.
     pub fn release(&mut self, port: usize) -> bool {
         self.regulator_mut(port).is_some_and(Regulator::release)
-    }
-
-    /// Switches telemetry on for every attached regulator.
-    pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
-        for reg in self.slots.iter_mut().flatten() {
-            reg.enable_telemetry(config);
-        }
     }
 }
 
@@ -198,8 +126,8 @@ pub struct RegulatedLink<S> {
     mgrs: Vec<TrafficGen>,
     fabric: RegulatedFabric,
     mux: Mux,
-    tmu: Option<Tmu>,
-    reset: Reset,
+    /// One-port bank holding the optional trunk TMU.
+    monitor: MonitorFabric,
     sub: S,
     // Ports, outermost to innermost.
     mgr_ports: Vec<AxiPort>,
@@ -241,12 +169,15 @@ impl<S: AxiSubordinate> RegulatedLink<S> {
         if let Some(priorities) = fabric.priorities() {
             mux.set_priorities(priorities);
         }
+        let mut monitor = MonitorFabric::new(1);
+        if let Some(cfg) = trunk_tmu {
+            monitor.attach(TRUNK, cfg, 8);
+        }
         RegulatedLink {
             mgrs,
             fabric,
             mux,
-            tmu: trunk_tmu.map(Tmu::new),
-            reset: Reset::with_duration(8),
+            monitor,
             sub,
             mgr_ports: (0..n).map(|_| AxiPort::new()).collect(),
             reg_ports: (0..n).map(|_| AxiPort::new()).collect(),
@@ -303,29 +234,20 @@ impl<S: AxiSubordinate> RegulatedLink<S> {
         // Pass 3: mux arbitration onto the trunk.
         self.mux.forward_requests(&self.reg_ports, &mut self.trunk);
         // Pass 4: the trunk TMU forwards onto the subordinate port.
-        match &mut self.tmu {
-            Some(tmu) => tmu.forward_request(&self.trunk, &mut self.sub_port),
-            None => self.sub_port.forward_request_from(&self.trunk),
-        }
+        self.monitor
+            .forward_request(TRUNK, &self.trunk, &mut self.sub_port);
         // Pass 5: the subordinate drives.
         self.sub.drive(&mut self.sub_port);
         // Pass 6: responses back up to the trunk.
-        match &mut self.tmu {
-            Some(tmu) => tmu.forward_response(&self.sub_port, &mut self.trunk),
-            None => self.trunk.forward_response_from(&self.sub_port),
-        }
+        self.monitor
+            .forward_response(TRUNK, &self.sub_port, &mut self.trunk);
         // Pass 7: mux routes the responses to the regulator ports and
         // settles the trunk's response readys.
         self.mux
             .forward_responses(&mut self.trunk, &mut self.reg_ports);
         // Pass 8: response-ready back-propagation to the subordinate.
-        match &mut self.tmu {
-            Some(tmu) => tmu.backprop_response_ready(&self.trunk, &mut self.sub_port),
-            None => {
-                self.sub_port.b.forward_ready_from(&self.trunk.b);
-                self.sub_port.r.forward_ready_from(&self.trunk.r);
-            }
-        }
+        self.monitor
+            .backprop_response_ready(TRUNK, &self.trunk, &mut self.sub_port);
         // Pass 9: regulators forward the responses (or their tracker's
         // aborts) and the granted request readys to the managers.
         for i in 0..self.mgrs.len() {
@@ -336,9 +258,7 @@ impl<S: AxiSubordinate> RegulatedLink<S> {
         for i in 0..self.mgrs.len() {
             self.fabric.observe(i, &self.mgr_ports[i]);
         }
-        if let Some(tmu) = &mut self.tmu {
-            tmu.observe(&self.trunk);
-        }
+        self.monitor.observe(TRUNK, &self.trunk);
 
         // Clock commit.
         for i in 0..self.mgrs.len() {
@@ -347,16 +267,8 @@ impl<S: AxiSubordinate> RegulatedLink<S> {
         self.mux.commit(&self.trunk);
         self.sub.commit(&self.sub_port);
         self.fabric.commit(cycle);
-        if let Some(tmu) = &mut self.tmu {
-            tmu.commit(cycle);
-            if tmu.take_reset_request() {
-                self.reset.request();
-            }
-            self.reset.tick();
-            if self.reset.is_done_pulse() {
-                self.sub.reset();
-                tmu.reset_done();
-            }
+        if !self.monitor.commit(cycle).is_empty() {
+            self.sub.reset();
         }
         self.cycle += 1;
     }
@@ -418,7 +330,7 @@ impl<S: AxiSubordinate> RegulatedLink<S> {
     /// The trunk TMU, if one was configured.
     #[must_use]
     pub fn tmu(&self) -> Option<&Tmu> {
-        self.tmu.as_ref()
+        self.monitor.tmu(TRUNK)
     }
 
     /// The shared subordinate.
@@ -431,7 +343,9 @@ impl<S: AxiSubordinate> RegulatedLink<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::DeadSub;
     use crate::memory::{MemConfig, MemSub};
+    use tmu::{BudgetConfig, TmuState};
     use tmu_regulate::{DirBudget, RegulationMode};
 
     fn mem() -> MemSub {
@@ -480,6 +394,37 @@ mod tests {
             assert_eq!(stats.writes_errored + stats.reads_errored, 0);
         }
         assert_eq!(link.tmu().expect("attached").faults_detected(), 0);
+    }
+
+    #[test]
+    fn trunk_tmu_recovers_from_a_dead_subordinate() {
+        let trunk = TmuConfig::builder()
+            .budgets(BudgetConfig {
+                tiny_total_override: Some(16),
+                ..BudgetConfig::default()
+            })
+            .build()
+            .expect("small-budget trunk configuration is valid");
+        let mut link = RegulatedLink::new(vec![(modest_pattern(), None)], Some(trunk), DeadSub, 9);
+        fn tmu(link: &RegulatedLink<DeadSub>) -> &Tmu {
+            link.tmu().expect("trunk TMU attached")
+        }
+        assert!(
+            link.run_until(1000, |l| tmu(l).faults_detected() > 0),
+            "the trunk TMU must time out the dead subordinate"
+        );
+        assert!(
+            link.run_until(1000, |l| {
+                let stats = l.stats(0);
+                stats.writes_errored + stats.reads_errored > 0
+            }),
+            "the manager must be answered with SLVERR"
+        );
+        assert!(tmu(&link).resets_requested() >= 1);
+        assert!(
+            link.run_until(1000, |l| tmu(l).state() == TmuState::Monitoring),
+            "the subordinate's reset must complete and re-arm the trunk TMU"
+        );
     }
 
     #[test]
