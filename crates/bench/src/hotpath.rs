@@ -209,6 +209,47 @@ pub fn run_saturated_stall_fastforward(variant: TmuVariant, budget: u64) -> Stal
     stall_result(&link, steps)
 }
 
+/// Cycles of the telemetry-on-traffic scenario: about 12 500 spans
+/// retire, far past the default 4096-span retention bound, so span
+/// eviction is on the timed path.
+pub const TELEMETRY_TRAFFIC_CYCLES: u64 = 300_000;
+
+/// The telemetry-on-traffic link: the shape of `perfbench`'s
+/// `link_faults` workload without its fault campaign. A prescaled
+/// (step 8, sticky) Tiny-Counter `GuardedLink` over `MemSub` carries
+/// sparse mixed read/write 4/8/16-beat bursts, two outstanding at most,
+/// 24 cycles apart, with telemetry off or at `TelemetryConfig::default()`.
+/// Run it for [`TELEMETRY_TRAFFIC_CYCLES`].
+///
+/// # Panics
+///
+/// Panics if the builder rejects the prescaled configuration — a
+/// configuration-validation bug, not a caller error.
+#[must_use]
+pub fn telemetry_traffic_link(telemetry: bool) -> GuardedLink<MemSub> {
+    let pattern = TrafficPattern {
+        write_ratio: 0.5,
+        burst_lens: vec![4, 8, 16],
+        ids: vec![0, 1, 2, 3],
+        addr_base: 0x1000,
+        addr_span: 0x4000,
+        max_outstanding: 2,
+        issue_gap: 24,
+        total_txns: None,
+        verify_data: false,
+    };
+    let cfg = TmuConfig::builder()
+        .variant(TmuVariant::TinyCounter)
+        .prescaler(8)
+        .build()
+        .expect("prescaled Tiny-Counter configuration is valid");
+    let mut link = GuardedLink::new(pattern, cfg, MemSub::default(), 0xC0FFEE);
+    if telemetry {
+        link.enable_telemetry(TelemetryConfig::default());
+    }
+    link
+}
+
 /// Cycles simulated by the traffic-regulation scenarios below: long
 /// enough for the offender to fill its outstanding window, overrun the
 /// budget for the required consecutive windows, and be severed, with a

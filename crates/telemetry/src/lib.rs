@@ -59,6 +59,7 @@
 pub mod event;
 pub mod hub;
 pub mod metrics;
+mod retain;
 pub mod sink;
 pub mod span;
 

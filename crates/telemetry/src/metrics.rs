@@ -21,6 +21,8 @@ use serde::{Deserialize, Serialize};
 
 use sim::Histogram;
 
+use crate::retain::Retained;
+
 /// One periodic snapshot of the hub.
 ///
 /// Counter values are **deltas** since the previous sample (so idle
@@ -62,16 +64,14 @@ impl MetricsSample {
 }
 
 /// Typed counters, gauges and histograms with periodic sampling.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MetricsHub {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
     /// Counter values at the previous sample, for delta computation.
     last_sampled: BTreeMap<&'static str, u64>,
-    samples: Vec<MetricsSample>,
-    max_samples: usize,
-    samples_dropped: u64,
+    samples: Retained<MetricsSample>,
 }
 
 impl MetricsHub {
@@ -89,8 +89,11 @@ impl MetricsHub {
     #[must_use]
     pub fn with_max_samples(max_samples: usize) -> Self {
         MetricsHub {
-            max_samples: max_samples.max(1),
-            ..MetricsHub::default()
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+            last_sampled: BTreeMap::new(),
+            samples: Retained::new(max_samples),
         }
     }
 
@@ -157,22 +160,23 @@ impl MetricsHub {
     /// previous sample plus current gauge levels. The sample is retained
     /// (bounded) and also returned.
     pub fn sample(&mut self, cycle: u64) -> MetricsSample {
+        let last_sampled = &mut self.last_sampled;
         let counters: Vec<(&'static str, u64)> = self
             .counters
             .iter()
-            .map(|(k, v)| (*k, v - self.last_sampled.get(k).copied().unwrap_or(0)))
+            .map(|(k, v)| {
+                let last = last_sampled.entry(*k).or_insert(0);
+                let delta = v - *last;
+                *last = *v;
+                (*k, delta)
+            })
             .collect();
-        self.last_sampled = self.counters.clone();
         let gauges: Vec<(&'static str, u64)> = self.gauges.iter().map(|(k, v)| (*k, *v)).collect();
         let sample = MetricsSample {
             cycle,
             counters,
             gauges,
         };
-        if self.samples.len() == self.max_samples {
-            self.samples.remove(0);
-            self.samples_dropped += 1;
-        }
         self.samples.push(sample.clone());
         sample
     }
@@ -180,20 +184,20 @@ impl MetricsHub {
     /// The retained periodic samples, oldest first.
     #[must_use]
     pub fn samples(&self) -> &[MetricsSample] {
-        &self.samples
+        self.samples.as_slice()
     }
 
     /// Samples evicted because the retention bound was hit.
     #[must_use]
     pub fn samples_dropped(&self) -> u64 {
-        self.samples_dropped
+        self.samples.dropped()
     }
 
     /// The retained samples as JSON lines (one object per line).
     #[must_use]
     pub fn jsonl(&self) -> String {
         let mut out = String::new();
-        for s in &self.samples {
+        for s in self.samples() {
             out.push_str(&s.to_json());
             out.push('\n');
         }
@@ -211,6 +215,12 @@ impl MetricsHub {
         for (k, h) in &other.histograms {
             self.histograms.entry(k).or_default().merge(h);
         }
+    }
+}
+
+impl Default for MetricsHub {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -282,6 +292,39 @@ mod tests {
         assert_eq!(m.samples().len(), 2);
         assert_eq!(m.samples_dropped(), 3);
         assert_eq!(m.samples()[0].cycle, 3);
+    }
+
+    #[test]
+    fn retention_matches_a_shifting_vec() {
+        for cap in [1usize, 2, 3, 16, 17, 40] {
+            let slack = (cap / 16).max(1);
+            let mut m = MetricsHub::with_max_samples(cap);
+            let mut model: Vec<MetricsSample> = Vec::new();
+            let mut dropped = 0u64;
+            for i in 0..=(4 * cap + slack) as u64 {
+                assert_eq!(m.samples(), model.as_slice(), "cap {cap}, {i} pushed");
+                assert_eq!(m.samples_dropped(), dropped, "cap {cap}, {i} pushed");
+                let jsonl: String = model.iter().map(|s| s.to_json() + "\n").collect();
+                assert_eq!(m.jsonl(), jsonl, "cap {cap}, {i} pushed");
+                m.counter_add("a", i % 3);
+                if i >= 5 {
+                    // A counter first touched after sampling began.
+                    m.counter_add("b", i);
+                }
+                m.gauge_set("g", i);
+                let sample = m.sample(i);
+                let mut deltas = vec![("a", i % 3)];
+                if i >= 5 {
+                    deltas.push(("b", i));
+                }
+                assert_eq!(sample.counters, deltas);
+                if model.len() == cap {
+                    model.remove(0);
+                    dropped += 1;
+                }
+                model.push(sample);
+            }
+        }
     }
 
     #[test]

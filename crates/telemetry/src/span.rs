@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::event::{Dir, PhaseId, TraceEvent};
+use crate::retain::Retained;
 
 /// One completed (or aborted) phase within a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -87,9 +88,7 @@ pub struct SpanCollector {
     /// Open transactions keyed by `(dir index, LD slot)` — the slot is
     /// unique among in-flight transactions of one direction.
     open: BTreeMap<(u8, u32), OpenTxn>,
-    finished: Vec<TxnSpan>,
-    max_spans: usize,
-    dropped_spans: u64,
+    finished: Retained<TxnSpan>,
 }
 
 fn dir_key(dir: Dir) -> u8 {
@@ -109,9 +108,7 @@ impl SpanCollector {
     pub fn new(max_spans: usize) -> Self {
         SpanCollector {
             open: BTreeMap::new(),
-            finished: Vec::new(),
-            max_spans: max_spans.max(1),
-            dropped_spans: 0,
+            finished: Retained::new(max_spans),
         }
     }
 
@@ -187,10 +184,6 @@ impl SpanCollector {
     }
 
     fn finish(&mut self, dir: Dir, txn: OpenTxn, end: u64, aborted: bool) {
-        if self.finished.len() == self.max_spans {
-            self.finished.remove(0);
-            self.dropped_spans += 1;
-        }
         self.finished.push(TxnSpan {
             dir,
             id: txn.id,
@@ -206,7 +199,7 @@ impl SpanCollector {
     /// Finished spans, oldest first.
     #[must_use]
     pub fn spans(&self) -> &[TxnSpan] {
-        &self.finished
+        self.finished.as_slice()
     }
 
     /// Number of transactions currently open (enqueued, not yet closed).
@@ -218,7 +211,7 @@ impl SpanCollector {
     /// Finished spans evicted because the retention bound was hit.
     #[must_use]
     pub fn dropped_spans(&self) -> u64 {
-        self.dropped_spans
+        self.finished.dropped()
     }
 
     /// Exports the finished spans as Chrome trace-event JSON (the
@@ -239,7 +232,7 @@ impl SpanCollector {
         // Stable track numbering: one tid per (dir, id), in order of
         // first appearance.
         let mut tids: BTreeMap<(u8, u16), u32> = BTreeMap::new();
-        for span in &self.finished {
+        for span in self.spans() {
             let key = (dir_key(span.dir), span.id);
             let next = tids.len() as u32 + 1;
             let tid = *tids.entry(key).or_insert(next);
@@ -385,6 +378,97 @@ mod tests {
         assert_eq!(c.spans().len(), 1);
         assert_eq!(c.dropped_spans(), 2);
         assert_eq!(c.spans()[0].begin, 2);
+    }
+
+    /// Feeds the events of the `i`-th transaction of the retention test:
+    /// directions, IDs, phase counts and severed endings vary with `i`.
+    fn retire(c: &mut SpanCollector, i: u64) {
+        let dir = if i.is_multiple_of(2) {
+            Dir::Write
+        } else {
+            Dir::Read
+        };
+        let id = (i % 3) as u16;
+        let begin = 10 * i;
+        c.on_event(
+            begin,
+            &TraceEvent::OttEnqueue {
+                dir,
+                id,
+                addr: 0x40 * i,
+                beats: 1 + (i % 4) as u16,
+                slot: 0,
+                phase: phase(0, "AW-handshake"),
+            },
+        );
+        if i.is_multiple_of(3) {
+            c.on_event(
+                begin + 1,
+                &TraceEvent::PhaseTransition {
+                    dir,
+                    id,
+                    slot: 0,
+                    from: phase(0, "AW-handshake"),
+                    to: phase(1, "data-entry"),
+                },
+            );
+        }
+        if i % 5 == 4 {
+            c.on_event(
+                begin + 3,
+                &TraceEvent::Recovery {
+                    stage: RecoveryStage::Severed,
+                },
+            );
+        } else {
+            c.on_event(
+                begin + 2 + i % 4,
+                &TraceEvent::OttDequeue {
+                    dir,
+                    id,
+                    slot: 0,
+                    total_cycles: 3 + i % 4,
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn retention_matches_a_shifting_vec() {
+        // The reference model keeps transaction indices in a `Vec` and
+        // evicts with `remove(0)`; its spans and trace are rendered by a
+        // collector fed only the retained transactions, which never
+        // reaches its bound.
+        for cap in [1usize, 2, 3, 16, 17, 40] {
+            let slack = (cap / 16).max(1);
+            let mut c = SpanCollector::new(cap);
+            let mut model: Vec<u64> = Vec::new();
+            let mut dropped = 0u64;
+            for i in 0..=(4 * cap + slack) as u64 {
+                let mut reference = SpanCollector::new(cap);
+                for &j in &model {
+                    retire(&mut reference, j);
+                }
+                assert!(reference
+                    .spans()
+                    .iter()
+                    .map(|s| s.begin)
+                    .eq(model.iter().map(|j| 10 * j)));
+                assert_eq!(c.spans(), reference.spans(), "cap {cap}, {i} pushed");
+                assert_eq!(c.dropped_spans(), dropped, "cap {cap}, {i} pushed");
+                assert_eq!(
+                    c.chrome_trace_json("t"),
+                    reference.chrome_trace_json("t"),
+                    "cap {cap}, {i} pushed"
+                );
+                retire(&mut c, i);
+                if model.len() == cap {
+                    model.remove(0);
+                    dropped += 1;
+                }
+                model.push(i);
+            }
+        }
     }
 
     #[test]
