@@ -190,6 +190,13 @@ impl AxiPort {
         self.r.begin_cycle();
     }
 
+    /// True if any of the five channels carries `valid` this cycle.
+    #[inline]
+    #[must_use]
+    pub fn any_valid(&self) -> bool {
+        self.aw.valid() || self.w.valid() || self.b.valid() || self.ar.valid() || self.r.valid()
+    }
+
     /// True if any of the five channels fires this cycle.
     #[must_use]
     pub fn any_fires(&self) -> bool {

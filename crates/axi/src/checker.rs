@@ -324,7 +324,34 @@ impl ProtocolChecker {
     ///
     /// Must be called exactly once per simulated cycle, after all drive
     /// passes and before the clock commit.
+    ///
+    /// A cycle on which no channel carries `valid` and no stability
+    /// shadow is held cannot break any rule or change any shadow, so it
+    /// returns at once without the rule sweep. A held shadow still
+    /// reports its `*Stable` violation on the next cycle, quiet or not.
+    #[inline]
     pub fn observe(&mut self, port: &AxiPort, cycle: u64) -> Vec<Violation> {
+        if !port.any_valid() && !self.holds_any() {
+            return Vec::new();
+        }
+        self.observe_active(port, cycle)
+    }
+
+    /// Whether any channel's stability shadow is set (it had `valid &&
+    /// !ready` on the previous observed cycle).
+    #[inline]
+    fn holds_any(&self) -> bool {
+        self.held_aw.is_some()
+            || self.held_w.is_some()
+            || self.held_b.is_some()
+            || self.held_ar.is_some()
+            || self.held_r.is_some()
+    }
+
+    /// The rule sweep behind [`ProtocolChecker::observe`], kept out of
+    /// line so a quiet cycle skips its prologue.
+    #[inline(never)]
+    fn observe_active(&mut self, port: &AxiPort, cycle: u64) -> Vec<Violation> {
         let mut out = Vec::new();
         self.check_stability(port, cycle, &mut out);
         self.check_aw(&port.aw, cycle, &mut out);

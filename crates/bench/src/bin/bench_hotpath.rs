@@ -1,17 +1,18 @@
 //! Hot-path engine benchmark: measures the deadline-wheel engine and the
 //! event-driven fast-forward against the per-cycle reference on the
 //! saturated total-stall scenario, the telemetry overhead (on the stall
-//! and on real traffic) and the regulator pass-through. Prints a table
-//! and writes the measured numbers to `BENCH_hotpath.json` at the
-//! repository root.
+//! and on real traffic), the cost of a quiet TMU and the regulator
+//! pass-through. Prints a table and writes the measured numbers to
+//! `BENCH_hotpath.json` at the repository root.
 
 use std::time::Instant;
 
 use tmu::{CounterEngine, TmuVariant};
 use tmu_bench::hotpath::{
-    passthrough_link, run_overload_isolation, run_saturated_stall, run_saturated_stall_fastforward,
-    run_saturated_stall_with_telemetry, telemetry_traffic_link, PassthroughLink, StallRun,
-    HOTPATH_BUDGET, HOTPATH_OUTSTANDING, REGULATE_CYCLES, TELEMETRY_TRAFFIC_CYCLES,
+    passthrough_link, quiet_link, run_overload_isolation, run_saturated_stall,
+    run_saturated_stall_fastforward, run_saturated_stall_with_telemetry, telemetry_traffic_link,
+    PassthroughLink, StallRun, HOTPATH_BUDGET, HOTPATH_OUTSTANDING, QUIET_CYCLES, REGULATE_CYCLES,
+    TELEMETRY_TRAFFIC_CYCLES,
 };
 use tmu_bench::table::Table;
 
@@ -65,6 +66,31 @@ fn measure_stall(variant: TmuVariant) -> StallMeasurement {
         run: reference,
         fast,
     }
+}
+
+/// Cycles per slice when two links are timed against each other.
+const CHUNK: u64 = 2_000;
+
+/// Advances two runs `cycles` cycles each in alternating `CHUNK`-cycle
+/// slices and returns the seconds each spent. The lead swaps every
+/// slice and every repetition `rep`, so periodic background load cannot
+/// alias onto one side and host throughput swings tax both alike.
+fn interleave(rep: u32, cycles: u64, mut a: impl FnMut(u64), mut b: impl FnMut(u64)) -> (f64, f64) {
+    let (mut a_s, mut b_s) = (0.0, 0.0);
+    for chunk in 0..cycles / CHUNK {
+        let a_leads = (rep + chunk as u32).is_multiple_of(2);
+        for lead_a in [a_leads, !a_leads] {
+            let start = Instant::now();
+            if lead_a {
+                a(CHUNK);
+                a_s += start.elapsed().as_secs_f64();
+            } else {
+                b(CHUNK);
+                b_s += start.elapsed().as_secs_f64();
+            }
+        }
+    }
+    (a_s, b_s)
 }
 
 fn json_f(value: f64) -> String {
@@ -148,7 +174,6 @@ fn main() {
     // like the regulator pass-through below, so host throughput swings
     // tax both sides alike.
     const TRAFFIC_ENABLED_BOUND: f64 = 1.6;
-    const TRAFFIC_CHUNK: u64 = 2_000;
     let mut traffic_off_total = 0.0f64;
     let mut traffic_on_total = 0.0f64;
     let mut traffic_txns = 0;
@@ -156,19 +181,10 @@ fn main() {
     for rep in 0..REPS {
         let mut off = telemetry_traffic_link(false);
         let mut on = telemetry_traffic_link(true);
-        for chunk in 0..TELEMETRY_TRAFFIC_CYCLES / TRAFFIC_CHUNK {
-            let off_leads = (rep + chunk as u32).is_multiple_of(2);
-            for lead_off in [off_leads, !off_leads] {
-                let start = Instant::now();
-                if lead_off {
-                    off.run(TRAFFIC_CHUNK);
-                    traffic_off_total += start.elapsed().as_secs_f64();
-                } else {
-                    on.run(TRAFFIC_CHUNK);
-                    traffic_on_total += start.elapsed().as_secs_f64();
-                }
-            }
-        }
+        let (off_s, on_s) =
+            interleave(rep, TELEMETRY_TRAFFIC_CYCLES, |n| off.run(n), |n| on.run(n));
+        traffic_off_total += off_s;
+        traffic_on_total += on_s;
         traffic_txns = on.mgr.stats().total_completed();
         assert_eq!(
             off.mgr.stats().total_completed(),
@@ -198,6 +214,46 @@ fn main() {
         "enabled telemetry costs {traffic_ratio:.2}x on traffic (bound {TRAFFIC_ENABLED_BOUND}x)"
     );
 
+    // A quiet link: the manager has stopped issuing, so no channel
+    // carries `valid` and no deadline is armed. An enabled TMU then
+    // costs its quiet-cycle gates on top of the wire copies a disabled
+    // one makes. No gate: the numbers are recorded only.
+    let mut quiet_on_ns = Vec::new();
+    let mut quiet_off_ns = Vec::new();
+    for rep in 0..REPS {
+        let mut on = quiet_link(true);
+        let mut off = quiet_link(false);
+        let (on_s, off_s) = interleave(rep, QUIET_CYCLES, |n| on.run(n), |n| off.run(n));
+        assert_eq!(
+            (on.tmu.faults_detected(), on.tmu.outstanding()),
+            (0, 0),
+            "a quiet link stays clean and empty"
+        );
+        quiet_on_ns.push(on_s * 1e9 / QUIET_CYCLES as f64);
+        quiet_off_ns.push(off_s * 1e9 / QUIET_CYCLES as f64);
+    }
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    let spread = |v: &[f64]| {
+        let lo = v.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = v.iter().copied().fold(0.0, f64::max);
+        (lo, hi)
+    };
+    let quiet_ratios: Vec<f64> = quiet_on_ns
+        .iter()
+        .zip(&quiet_off_ns)
+        .map(|(on, off)| on / off)
+        .collect();
+    let (quiet_on_mean, quiet_off_mean) = (mean(&quiet_on_ns), mean(&quiet_off_ns));
+    let quiet_ratio = quiet_on_mean / quiet_off_mean;
+    let (on_lo, on_hi) = spread(&quiet_on_ns);
+    let (off_lo, off_hi) = spread(&quiet_off_ns);
+    let (ratio_lo, ratio_hi) = spread(&quiet_ratios);
+    println!(
+        "quiet link ({QUIET_CYCLES} cycles, mean of {REPS}): monitoring on {quiet_on_mean:.1} ns/cycle \
+         [{on_lo:.1}, {on_hi:.1}], off {quiet_off_mean:.1} ns/cycle [{off_lo:.1}, {off_hi:.1}] \
+         ({quiet_ratio:.2}x [{ratio_lo:.2}, {ratio_hi:.2}])"
+    );
+
     // Traffic regulation: the disabled regulator must be a free
     // pass-through (wire copies plus one branch per channel), so the
     // regulated run must sit within noise of the bare fabric (the
@@ -210,28 +266,20 @@ fn main() {
     // host regime taxes both sides almost equally, and the ratio is
     // taken between the summed chunk times.
     const REG_BENCH_CYCLES: u64 = 5 * REGULATE_CYCLES;
-    const REG_CHUNK: u64 = 2_000;
     const REG_REPS: u32 = 3;
     let mut bare_total = 0.0f64;
     let mut passthrough_total = 0.0f64;
     for rep in 0..REG_REPS {
         let mut bare = passthrough_link(false);
         let mut passthrough = passthrough_link(true);
-        for chunk in 0..REG_BENCH_CYCLES / REG_CHUNK {
-            // Alternate which link leads so periodic background load
-            // cannot alias onto one side.
-            let bare_leads = (rep + chunk as u32).is_multiple_of(2);
-            for lead_bare in [bare_leads, !bare_leads] {
-                let start = Instant::now();
-                if lead_bare {
-                    bare.run(REG_CHUNK);
-                    bare_total += start.elapsed().as_secs_f64();
-                } else {
-                    passthrough.run(REG_CHUNK);
-                    passthrough_total += start.elapsed().as_secs_f64();
-                }
-            }
-        }
+        let (bare_s, passthrough_s) = interleave(
+            rep,
+            REG_BENCH_CYCLES,
+            |n| bare.run(n),
+            |n| passthrough.run(n),
+        );
+        bare_total += bare_s;
+        passthrough_total += passthrough_s;
         let checksum =
             |l: &PassthroughLink| l.stats(0).total_completed() + l.stats(1).total_completed();
         assert_eq!(
@@ -300,6 +348,18 @@ fn main() {
         json_f(traffic_off_s),
         json_f(traffic_on_s),
         json_f(traffic_ratio)
+    ));
+    json.push_str(&format!(
+        "  \"quiet_link\": {{\"cycles\": {QUIET_CYCLES}, \"reps\": {REPS}, \"monitoring_on_ns_per_cycle\": {}, \"monitoring_on_min\": {}, \"monitoring_on_max\": {}, \"monitoring_off_ns_per_cycle\": {}, \"monitoring_off_min\": {}, \"monitoring_off_max\": {}, \"on_off_ratio\": {}, \"on_off_ratio_min\": {}, \"on_off_ratio_max\": {}}},\n",
+        json_f(quiet_on_mean),
+        json_f(on_lo),
+        json_f(on_hi),
+        json_f(quiet_off_mean),
+        json_f(off_lo),
+        json_f(off_hi),
+        json_f(quiet_ratio),
+        json_f(ratio_lo),
+        json_f(ratio_hi)
     ));
     json.push_str(&format!(
         "  \"regulator\": {{\"passthrough_cycles\": {REG_BENCH_CYCLES}, \"passthrough_reps\": {REG_REPS}, \"overload_cycles\": {REGULATE_CYCLES}, \"bare_s\": {}, \"passthrough_s\": {}, \"passthrough_overhead_ratio\": {}, \"overload_isolation_s\": {}, \"isolated_at_cycle\": {}, \"victim_completed\": {}, \"offender_completed\": {}, \"trunk_faults\": {}}}\n",

@@ -24,6 +24,7 @@ use soc::link::{BlackHoleSub, GuardedLink};
 use soc::manager::TrafficPattern;
 use soc::memory::MemSub;
 use soc::regulated::RegulatedLink;
+use tmu::config::Reg;
 use tmu::{BudgetConfig, CounterEngine, TelemetryConfig, TmuConfig, TmuVariant};
 use tmu_regulate::{DirBudget, RegulationMode, RegulatorConfig};
 
@@ -227,6 +228,14 @@ pub const TELEMETRY_TRAFFIC_CYCLES: u64 = 300_000;
 /// configuration-validation bug, not a caller error.
 #[must_use]
 pub fn telemetry_traffic_link(telemetry: bool) -> GuardedLink<MemSub> {
+    let mut link = sparse_link(None);
+    if telemetry {
+        link.enable_telemetry(TelemetryConfig::default());
+    }
+    link
+}
+
+fn sparse_link(total_txns: Option<u64>) -> GuardedLink<MemSub> {
     let pattern = TrafficPattern {
         write_ratio: 0.5,
         burst_lens: vec![4, 8, 16],
@@ -235,7 +244,7 @@ pub fn telemetry_traffic_link(telemetry: bool) -> GuardedLink<MemSub> {
         addr_span: 0x4000,
         max_outstanding: 2,
         issue_gap: 24,
-        total_txns: None,
+        total_txns,
         verify_data: false,
     };
     let cfg = TmuConfig::builder()
@@ -243,9 +252,38 @@ pub fn telemetry_traffic_link(telemetry: bool) -> GuardedLink<MemSub> {
         .prescaler(8)
         .build()
         .expect("prescaled Tiny-Counter configuration is valid");
-    let mut link = GuardedLink::new(pattern, cfg, MemSub::default(), 0xC0FFEE);
-    if telemetry {
-        link.enable_telemetry(TelemetryConfig::default());
+    GuardedLink::new(pattern, cfg, MemSub::default(), 0xC0FFEE)
+}
+
+/// Cycles of the quiet-link scenario timed by `bench_hotpath`.
+pub const QUIET_CYCLES: u64 = 200_000;
+
+/// Transactions the quiet link's manager issues before it stops.
+const QUIET_WARMUP_TXNS: u64 = 16;
+
+/// The quiet-link scenario: the [`telemetry_traffic_link`] shape (no
+/// telemetry) after its manager has issued its last transaction and
+/// every response has returned, so from here on no channel carries
+/// `valid` and no deadline is armed. With `monitoring` off, the TMU is
+/// disabled in its control register and only copies wires: the
+/// baseline a quiet, enabled TMU is costed against.
+///
+/// # Panics
+///
+/// Panics if the warm-up traffic does not drain or is flagged — a
+/// monitor bug, not a caller error.
+#[must_use]
+pub fn quiet_link(monitoring: bool) -> GuardedLink<MemSub> {
+    let mut link = sparse_link(Some(QUIET_WARMUP_TXNS));
+    let drained = link.run_until(QUIET_CYCLES, |l| l.mgr.is_done());
+    assert!(drained, "the warm-up traffic must drain");
+    assert_eq!(
+        link.tmu.faults_detected(),
+        0,
+        "warm-up traffic is compliant"
+    );
+    if !monitoring {
+        link.tmu.write_reg(Reg::Ctrl, 0);
     }
     link
 }
@@ -464,6 +502,19 @@ mod tests {
             );
             let plain = run_saturated_stall(variant, CounterEngine::DeadlineWheel, TEST_BUDGET);
             assert_eq!(off, plain, "disabled telemetry is the plain wheel run");
+        }
+    }
+
+    #[test]
+    fn quiet_link_stays_quiet_and_clean() {
+        for monitoring in [true, false] {
+            let mut link = quiet_link(monitoring);
+            let completed = link.mgr.stats().total_completed();
+            link.run(10_000);
+            assert_eq!(link.mgr.stats().total_completed(), completed);
+            assert_eq!(link.tmu.outstanding(), 0);
+            assert_eq!(link.tmu.next_deadline(), None);
+            assert_eq!(link.tmu.faults_detected(), 0);
         }
     }
 

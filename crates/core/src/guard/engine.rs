@@ -36,6 +36,17 @@
 //! When `debug_assertions` are on, every commit ends with
 //! [`GuardCore::assert_consistent`], so all property tests exercise the
 //! structural invariants after each committed cycle for free.
+//!
+//! ## Quiet cycles
+//!
+//! A direction is *quiet* on a cycle when none of its channels carries
+//! `valid` ([`Direction::quiet`]: AW, W and B for writes, AR and R for
+//! reads). Steps 1–3 are then no-ops, so `observe` records only that
+//! fact. Under the deadline wheel, a quiet commit with no stalled
+//! address beat and no live deadline at or before `cycle` is a no-op
+//! too: it only sets the materialization reference and returns. The
+//! per-cycle reference engine is never gated, because it ticks every
+//! counter every cycle and is the oracle the gate is tested against.
 
 use axi4::channel::AxiPort;
 use axi4::{Addr, AxiId};
@@ -64,7 +75,7 @@ pub trait Direction: Sized + std::fmt::Debug + Clone + 'static {
     /// The per-phase budget table consulted by the Full-Counter variant.
     type Budgets: Copy + std::fmt::Debug + PartialEq + Eq;
     /// Data/response wires captured by `observe` for `commit_data`.
-    type DataObs: Default + Clone + std::fmt::Debug;
+    type DataObs: Clone + std::fmt::Debug;
 
     /// Which guard this is, as tagged in telemetry events.
     const DIR: Dir;
@@ -101,6 +112,10 @@ pub trait Direction: Sized + std::fmt::Debug + Clone + 'static {
     fn phase_budget(budgets: &Self::Budgets, phase: Self::Phase) -> u64;
     /// Budget of the initial (address-handshake) phase.
     fn initial_budget(budgets: &Self::Budgets) -> u64;
+    /// Whether none of the direction's channels carries `valid` on
+    /// `port`: the cycle can neither allocate, advance nor retire a
+    /// transaction.
+    fn quiet(port: &AxiPort) -> bool;
     /// The offered address beat and whether its handshake fired.
     fn observe_addr(port: &AxiPort) -> (Option<Self::Req>, bool);
     /// The direction's data/response wires for this cycle.
@@ -165,16 +180,6 @@ struct CoreObs<D: Direction> {
     data: D::DataObs,
 }
 
-impl<D: Direction> Default for CoreObs<D> {
-    fn default() -> Self {
-        CoreObs {
-            addr_offered: None,
-            addr_fired: false,
-            data: D::DataObs::default(),
-        }
-    }
-}
-
 /// The direction-generic guard: owns the OTT, ID remapper, deadline
 /// wheel, and prescaled counters for one direction of one monitored
 /// link, and drives the observe/commit/drain/clear lifecycle. See the
@@ -201,7 +206,9 @@ pub struct GuardCore<D: Direction> {
     /// Whether this cycle's address beat was stalled by saturation
     /// backpressure.
     stalled_this_cycle: bool,
-    obs: CoreObs<D>,
+    /// This cycle's wires, or `None` when the direction is quiet (see
+    /// the [module docs](self)).
+    obs: Option<CoreObs<D>>,
 }
 
 impl<D: Direction> GuardCore<D> {
@@ -221,7 +228,7 @@ impl<D: Direction> GuardCore<D> {
             pending_drain_beats: 0,
             addr_pending: None,
             stalled_this_cycle: false,
-            obs: CoreObs::default(),
+            obs: None,
         }
     }
 
@@ -266,13 +273,19 @@ impl<D: Direction> GuardCore<D> {
         self.stalled_this_cycle
     }
 
-    /// Captures the settled manager-side wires for this cycle.
+    /// Captures the settled manager-side wires for this cycle; on a
+    /// quiet cycle it records only that no channel carries `valid`.
+    #[inline]
     pub fn observe(&mut self, port: &AxiPort) {
-        let (addr_offered, addr_fired) = D::observe_addr(port);
-        self.obs = CoreObs {
-            addr_offered,
-            addr_fired,
-            data: D::observe_data(port),
+        self.obs = if D::quiet(port) {
+            None
+        } else {
+            let (addr_offered, addr_fired) = D::observe_addr(port);
+            Some(CoreObs {
+                addr_offered,
+                addr_fired,
+                data: D::observe_data(port),
+            })
         };
     }
 
@@ -423,101 +436,129 @@ impl<D: Direction> GuardCore<D> {
     ///
     /// Panics only if the stall decision, OTT, and remapper disagree — an internal invariant
     /// violation (a bug in the monitor, not a caller error).
+    #[inline]
     pub fn commit(
         &mut self,
         cycle: u64,
         perf: &mut PerfLog,
         telemetry: &mut TelemetryHub,
     ) -> Vec<GuardFault> {
-        let obs = std::mem::take(&mut self.obs);
+        // A quiet cycle with nothing stalled and no deadline due changes
+        // nothing but the materialization reference (module docs). The
+        // deadline peek prunes stale heap tops exactly as `pop_expired`
+        // would, so the wheel ends in the same state either way.
+        if self.obs.is_none()
+            && !self.stalled_this_cycle
+            && self.engine == CounterEngine::DeadlineWheel
+            && self.wheel.next_deadline().is_none_or(|due| due > cycle)
+        {
+            self.last_commit = cycle;
+            return Vec::new();
+        }
+        self.commit_active(cycle, perf, telemetry)
+    }
+
+    /// The body of [`GuardCore::commit`], kept out of line so a gated
+    /// quiet cycle skips its prologue.
+    #[inline(never)]
+    fn commit_active(
+        &mut self,
+        cycle: u64,
+        perf: &mut PerfLog,
+        telemetry: &mut TelemetryHub,
+    ) -> Vec<GuardFault> {
         let mut faults = Vec::new();
         self.last_commit = cycle;
 
-        // 1. New address beat observed: allocate unless stalled or
-        //    already pending.
-        if let Some(req) = obs.addr_offered {
-            if self.addr_pending.is_none() && !self.stalled_this_cycle {
-                let load = self.queue_load();
-                let beats = D::beats(&req);
-                let budgets = D::budgets(&self.budget_cfg, beats, load);
-                let initial_budget = match self.variant {
-                    TmuVariant::TinyCounter => D::tiny_budget(&self.budget_cfg, beats, load),
-                    TmuVariant::FullCounter => D::initial_budget(&budgets),
-                };
-                let uid = self
-                    .remap
-                    .acquire(D::id(&req))
-                    .expect("stall decision guaranteed admission");
-                let counter = PrescaledCounter::new(initial_budget, self.prescaler, self.sticky);
-                let fire_in = counter.cycles_to_expiry();
-                let tracker = TxnTracker {
-                    req,
-                    phase: D::INITIAL_PHASE,
-                    beats_done: 0,
-                    counter,
-                    budgets,
-                    enqueued_at: cycle,
-                    phase_started_at: cycle,
-                    phase_cycles: [0; 6],
-                    timed_out: false,
-                };
-                let idx = self
-                    .ott
-                    .enqueue(uid, tracker)
-                    .expect("stall decision guaranteed capacity");
-                self.addr_pending = Some(idx);
-                telemetry.record(
-                    cycle,
-                    D::SOURCE,
-                    TraceEvent::OttEnqueue {
-                        dir: D::DIR,
-                        id: D::id(&req).0,
-                        addr: D::addr(&req).0,
-                        beats,
-                        slot: idx as u32,
-                        phase: D::INITIAL_PHASE.into(),
-                    },
-                );
-                if self.engine == CounterEngine::DeadlineWheel {
-                    // First tick lands in this commit, so the expiry can
-                    // fire as early as this very cycle (fire_in >= 1).
-                    let fire_at = cycle + fire_in - 1;
-                    self.wheel.arm(idx, cycle, fire_at);
+        // Steps 1-3 act only on wires, and a quiet cycle carries none.
+        if let Some(obs) = self.obs.take() {
+            // 1. New address beat observed: allocate unless stalled or
+            //    already pending.
+            if let Some(req) = obs.addr_offered {
+                if self.addr_pending.is_none() && !self.stalled_this_cycle {
+                    let load = self.queue_load();
+                    let beats = D::beats(&req);
+                    let budgets = D::budgets(&self.budget_cfg, beats, load);
+                    let initial_budget = match self.variant {
+                        TmuVariant::TinyCounter => D::tiny_budget(&self.budget_cfg, beats, load),
+                        TmuVariant::FullCounter => D::initial_budget(&budgets),
+                    };
+                    let uid = self
+                        .remap
+                        .acquire(D::id(&req))
+                        .expect("stall decision guaranteed admission");
+                    let counter =
+                        PrescaledCounter::new(initial_budget, self.prescaler, self.sticky);
+                    let fire_in = counter.cycles_to_expiry();
+                    let tracker = TxnTracker {
+                        req,
+                        phase: D::INITIAL_PHASE,
+                        beats_done: 0,
+                        counter,
+                        budgets,
+                        enqueued_at: cycle,
+                        phase_started_at: cycle,
+                        phase_cycles: [0; 6],
+                        timed_out: false,
+                    };
+                    let idx = self
+                        .ott
+                        .enqueue(uid, tracker)
+                        .expect("stall decision guaranteed capacity");
+                    self.addr_pending = Some(idx);
                     telemetry.record(
                         cycle,
                         D::SOURCE,
-                        TraceEvent::WheelArm {
+                        TraceEvent::OttEnqueue {
                             dir: D::DIR,
+                            id: D::id(&req).0,
+                            addr: D::addr(&req).0,
+                            beats,
                             slot: idx as u32,
-                            fire_at,
+                            phase: D::INITIAL_PHASE.into(),
                         },
                     );
+                    if self.engine == CounterEngine::DeadlineWheel {
+                        // First tick lands in this commit, so the expiry can
+                        // fire as early as this very cycle (fire_in >= 1).
+                        let fire_at = cycle + fire_in - 1;
+                        self.wheel.arm(idx, cycle, fire_at);
+                        telemetry.record(
+                            cycle,
+                            D::SOURCE,
+                            TraceEvent::WheelArm {
+                                dir: D::DIR,
+                                slot: idx as u32,
+                                fire_at,
+                            },
+                        );
+                    }
                 }
             }
-        }
 
-        // 2. Address handshake completes: enter the data phase.
-        if obs.addr_fired {
-            if let Some(idx) = self.addr_pending.take() {
-                let variant = self.variant;
-                let engine = self.engine;
-                if let Some(entry) = self.ott.get_mut(idx) {
-                    Self::transition(
-                        &mut self.wheel,
-                        engine,
-                        idx,
-                        &mut entry.tracker,
-                        D::ADDR_DONE_PHASE,
-                        cycle,
-                        variant,
-                        telemetry,
-                    );
+            // 2. Address handshake completes: enter the data phase.
+            if obs.addr_fired {
+                if let Some(idx) = self.addr_pending.take() {
+                    let variant = self.variant;
+                    let engine = self.engine;
+                    if let Some(entry) = self.ott.get_mut(idx) {
+                        Self::transition(
+                            &mut self.wheel,
+                            engine,
+                            idx,
+                            &mut entry.tracker,
+                            D::ADDR_DONE_PHASE,
+                            cycle,
+                            variant,
+                            telemetry,
+                        );
+                    }
                 }
             }
-        }
 
-        // 3. Direction-specific data/response routing and retirement.
-        D::commit_data(self, &obs.data, cycle, perf, telemetry);
+            // 3. Direction-specific data/response routing and retirement.
+            D::commit_data(self, &obs.data, cycle, perf, telemetry);
+        }
 
         // 4. Flag expiries. The reference engine ticks every live
         //    counter each cycle; the deadline wheel only touches the
@@ -662,7 +703,7 @@ impl<D: Direction> GuardCore<D> {
         self.wheel.clear();
         self.addr_pending = None;
         self.stalled_this_cycle = false;
-        self.obs = CoreObs::default();
+        self.obs = None;
     }
 
     /// The earliest cycle at which an armed timeout can fire, or `None`

@@ -93,6 +93,10 @@ impl Direction for ReadDir {
         budgets.ar_handshake
     }
 
+    fn quiet(port: &AxiPort) -> bool {
+        !port.ar.valid() && !port.r.valid()
+    }
+
     fn observe_addr(port: &AxiPort) -> (Option<ArBeat>, bool) {
         (port.ar.beat().copied(), port.ar.fires())
     }

@@ -94,6 +94,10 @@ impl Direction for WriteDir {
         budgets.aw_handshake
     }
 
+    fn quiet(port: &AxiPort) -> bool {
+        !port.aw.valid() && !port.w.valid() && !port.b.valid()
+    }
+
     fn observe_addr(port: &AxiPort) -> (Option<AwBeat>, bool) {
         (port.aw.beat().copied(), port.aw.fires())
     }

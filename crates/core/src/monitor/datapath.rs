@@ -127,17 +127,11 @@ impl Tmu {
                     masked.w.suppress_valid();
                     self.write_guard.observe(&masked);
                     self.read_guard.observe(&masked);
-                    if self.cfg.check_protocol() && self.regs.prot_check_enabled() {
-                        let violations = self.checker.observe(&masked, self.cycles);
-                        self.pending_violations.extend(violations);
-                    }
+                    self.check_protocol(&masked);
                 } else {
                     self.write_guard.observe(mgr);
                     self.read_guard.observe(mgr);
-                    if self.cfg.check_protocol() && self.regs.prot_check_enabled() {
-                        let violations = self.checker.observe(mgr, self.cycles);
-                        self.pending_violations.extend(violations);
-                    }
+                    self.check_protocol(mgr);
                 }
             }
             TmuState::Aborting => {
@@ -145,6 +139,17 @@ impl Tmu {
                 self.abort_r_fired = mgr.r.fires();
             }
             TmuState::WaitReset => {}
+        }
+    }
+
+    /// Runs the protocol checker over `port` when it is configured and
+    /// enabled, queueing any violations for the next commit.
+    fn check_protocol(&mut self, port: &AxiPort) {
+        if self.cfg.check_protocol() && self.regs.prot_check_enabled() {
+            let violations = self.checker.observe(port, self.cycles);
+            if !violations.is_empty() {
+                self.pending_violations.extend(violations);
+            }
         }
     }
 

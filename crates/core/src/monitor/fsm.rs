@@ -56,17 +56,23 @@ impl Tmu {
 
     fn commit_monitoring(&mut self, cycle: u64) {
         self.write_guard.set_pending_drain(self.w_drain_beats);
-        let mut records: Vec<ErrorRecord> = Vec::new();
-
-        for fault in self
+        let write_faults = self
             .write_guard
-            .commit(cycle, &mut self.perf_log, &mut self.telemetry)
-            .into_iter()
-            .chain(
-                self.read_guard
-                    .commit(cycle, &mut self.perf_log, &mut self.telemetry),
-            )
+            .commit(cycle, &mut self.perf_log, &mut self.telemetry);
+        let read_faults = self
+            .read_guard
+            .commit(cycle, &mut self.perf_log, &mut self.telemetry);
+        // Fault-free cycle: nothing to log, sever or abort.
+        if write_faults.is_empty()
+            && read_faults.is_empty()
+            && self.pending_violations.is_empty()
+            && self.pending_isolation.is_none()
         {
+            return;
+        }
+
+        let mut records: Vec<ErrorRecord> = Vec::new();
+        for fault in write_faults.into_iter().chain(read_faults) {
             records.push(ErrorRecord {
                 cycle,
                 kind: fault.kind,
@@ -110,9 +116,6 @@ impl Tmu {
             });
         }
 
-        if records.is_empty() {
-            return;
-        }
         for record in records {
             self.trace.record_with(cycle, "tmu", || record.to_string());
             self.err_log.push(record);

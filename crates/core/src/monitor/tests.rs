@@ -1,6 +1,7 @@
 use super::*;
 
-use crate::config::Reg;
+use crate::budget::BudgetConfig;
+use crate::config::{CounterEngine, Reg};
 use crate::log::FaultKind;
 use crate::phase::{TxnPhase, WritePhase};
 use axi4::prelude::*;
@@ -558,5 +559,94 @@ fn guards_stay_consistent_through_traffic() {
         tmu.commit(n);
         tmu.write_guard().assert_consistent();
         tmu.read_guard().assert_consistent();
+    }
+}
+
+/// Runs one hand-driven cycle: `mgr_drive` sets the manager's wires,
+/// `sub_drive` the subordinate's, and the TMU forwards, observes and
+/// commits `cycle`.
+fn hand_cycle(
+    tmu: &mut Tmu,
+    cycle: u64,
+    mgr_drive: impl FnOnce(&mut AxiPort),
+    sub_drive: impl FnOnce(&mut AxiPort),
+) {
+    let mut mgr_port = AxiPort::new();
+    let mut sub_port = AxiPort::new();
+    mgr_port.begin_cycle();
+    sub_port.begin_cycle();
+    mgr_drive(&mut mgr_port);
+    tmu.forward_request(&mgr_port, &mut sub_port);
+    sub_drive(&mut sub_port);
+    tmu.forward_response(&sub_port, &mut mgr_port);
+    tmu.observe(&mgr_port);
+    tmu.commit(cycle);
+}
+
+#[test]
+fn held_beat_then_quiet_port_still_logs_stability_violation() {
+    let mut tmu = Tmu::new(cfg(TmuVariant::FullCounter));
+    let aw = write_txn(1, 4).aw_beat();
+    // Cycle 0: AW offered, the subordinate withholds ready.
+    hand_cycle(&mut tmu, 0, |m| m.aw.drive(aw), |_| {});
+    assert_eq!(tmu.faults_detected(), 0);
+    // Cycle 1: the manager drops valid and every channel goes quiet;
+    // only the checker's held shadow can see the broken handshake.
+    hand_cycle(&mut tmu, 1, |_| {}, |_| {});
+    let fault = tmu.last_fault().expect("the dropped AW must be flagged");
+    assert_eq!(fault.kind, FaultKind::Protocol(Rule::AwStable));
+    assert_eq!(fault.cycle, 1);
+    assert_eq!(tmu.state(), TmuState::Aborting);
+}
+
+#[test]
+fn unanswered_read_times_out_on_the_analytic_cycle_over_quiet_wires() {
+    const BUDGET: u64 = 50;
+    let budgets = BudgetConfig {
+        addr_handshake: BUDGET,
+        data_entry: BUDGET,
+        first_data: BUDGET,
+        per_beat: BUDGET,
+        resp_wait: BUDGET,
+        resp_ready: BUDGET,
+        queue_wait_per_txn: 0,
+        queue_wait_per_beat: 0,
+        tiny_total_override: Some(BUDGET),
+    };
+    let ar = read_txn(2, 4).ar_beat();
+    for variant in [TmuVariant::TinyCounter, TmuVariant::FullCounter] {
+        for sticky in [true, false] {
+            for step in [1, 4, 7, 16, 64] {
+                let extra = if sticky { 1 } else { 2 };
+                let analytic = step * (BUDGET.div_ceil(step) + extra);
+                let mut fired = Vec::new();
+                for engine in [CounterEngine::PerCycle, CounterEngine::DeadlineWheel] {
+                    let config = TmuConfig::builder()
+                        .variant(variant)
+                        .max_uniq_ids(4)
+                        .txn_per_id(4)
+                        .prescaler(step)
+                        .sticky(sticky)
+                        .budgets(budgets)
+                        .engine(engine)
+                        .build()
+                        .unwrap();
+                    let mut tmu = Tmu::new(config);
+                    // Cycle 0: the AR is accepted; no R beat ever follows.
+                    hand_cycle(&mut tmu, 0, |m| m.ar.drive(ar), |s| s.ar.set_ready(true));
+                    let mut cycle = 1;
+                    while tmu.faults_detected() == 0 && cycle < 10 * analytic {
+                        hand_cycle(&mut tmu, cycle, |m| m.r.set_ready(true), |_| {});
+                        cycle += 1;
+                    }
+                    let fault = tmu.last_fault().expect("the unanswered read must time out");
+                    assert_eq!(fault.kind, FaultKind::Timeout);
+                    fired.push((fault.cycle, fault.inflight_cycles));
+                }
+                let label = format!("{variant} step {step} sticky {sticky}");
+                assert_eq!(fired[0], fired[1], "{label}: engines disagree");
+                assert_eq!(fired[1], (analytic - 1, analytic), "{label}");
+            }
+        }
     }
 }
