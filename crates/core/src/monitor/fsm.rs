@@ -104,8 +104,16 @@ impl Tmu {
         }
 
         if let Some(reason) = self.pending_isolation.take() {
-            self.trace
-                .record(cycle, "tmu", "externally commanded isolation");
+            self.telemetry.record(
+                cycle,
+                "tmu",
+                TraceEvent::Fault {
+                    class: FaultClass::External,
+                    dir: None,
+                    id: 0,
+                    phase: None,
+                },
+            );
             records.push(ErrorRecord {
                 cycle,
                 kind: FaultKind::External(reason),
@@ -117,7 +125,6 @@ impl Tmu {
         }
 
         for record in records {
-            self.trace.record_with(cycle, "tmu", || record.to_string());
             self.err_log.push(record);
             self.regs.hw_note_error();
         }
@@ -141,14 +148,6 @@ impl Tmu {
         self.state = TmuState::Aborting;
         self.stall_aw = false;
         self.stall_ar = false;
-        let (aborted_writes, aborted_reads, drain) =
-            (self.abort_b.len(), self.abort_r.len(), self.w_drain_beats);
-        self.trace.record_with(cycle, "tmu", || {
-            format!(
-                "severed link: aborting {aborted_writes} writes / {aborted_reads} reads, \
-                 draining {drain} residual beats"
-            )
-        });
         // Severing also closes every open telemetry span as aborted.
         self.telemetry.record(
             cycle,
@@ -178,11 +177,6 @@ impl Tmu {
             self.resets_requested += 1;
             self.regs.hw_note_reset();
             self.state = TmuState::WaitReset;
-            self.trace.record(
-                self.cycles,
-                "tmu",
-                "aborts delivered: requesting subordinate reset",
-            );
             self.telemetry.record(
                 self.cycles,
                 "tmu",
@@ -215,8 +209,6 @@ impl Tmu {
                 self.reset_completed = true;
             } else {
                 self.state = TmuState::Monitoring;
-                self.trace
-                    .record(self.cycles, "tmu", "reset complete: monitoring resumed");
                 self.telemetry.record(
                     self.cycles,
                     "tmu",

@@ -51,7 +51,6 @@ use std::collections::VecDeque;
 
 use axi4::checker::ProtocolChecker;
 use serde::{Deserialize, Serialize};
-use sim::EventTrace;
 use tmu_telemetry::TelemetryHub;
 
 use crate::config::{RegisterFile, TmuConfig, TmuVariant};
@@ -109,7 +108,6 @@ pub struct Tmu {
     resets_requested: u64,
     /// Committed state: cycles this monitor has committed.
     cycles: u64,
-    trace: EventTrace,
     telemetry: TelemetryHub,
 }
 
@@ -147,7 +145,6 @@ impl Tmu {
             faults_detected: 0,
             resets_requested: 0,
             cycles: 0,
-            trace: EventTrace::new(),
             telemetry: TelemetryHub::default(),
         }
     }
@@ -195,7 +192,9 @@ impl Tmu {
 
     /// Commands the TMU to sever and abort the link at its next commit,
     /// exactly as if a fault had been detected, logging the event as
-    /// [`crate::log::FaultKind::External`] with the given policy name.
+    /// [`crate::log::FaultKind::External`] with the given policy name
+    /// (and, with telemetry on, as a `FaultClass::External` fault record
+    /// just before the `severed` one).
     ///
     /// This is the escalation hook for external supervisors (the
     /// `tmu-regulate` isolation mode): instead of duplicating the
@@ -220,13 +219,6 @@ impl Tmu {
     #[must_use]
     pub fn error_log(&self) -> &ErrorLog {
         &self.err_log
-    }
-
-    /// Timestamped lifecycle trace (fault, sever, abort-complete, reset,
-    /// resume events) — the narrative counterpart of the error log.
-    #[must_use]
-    pub fn trace(&self) -> &EventTrace {
-        &self.trace
     }
 
     /// The performance log (per-phase detail in Full-Counter mode).

@@ -5,7 +5,7 @@ use crate::config::{CounterEngine, Reg};
 use crate::log::FaultKind;
 use crate::phase::{TxnPhase, WritePhase};
 use axi4::prelude::*;
-use tmu_telemetry::TelemetryConfig;
+use tmu_telemetry::{FaultClass, RecoveryStage, TelemetryConfig, TelemetryRecord, TraceEvent};
 
 /// A perfectly behaved in-test subordinate: accepts addresses and
 /// data immediately, responds after a fixed delay, optionally
@@ -400,9 +400,21 @@ fn err_count_register_reflects_log() {
     assert_eq!(tmu.read_reg(Reg::ResetCount), 1);
 }
 
+/// The fault and recovery records of the TMU's event ring: rendered
+/// with their `Display`, the human-readable lifecycle trace.
+fn lifecycle(tmu: &Tmu) -> Vec<TelemetryRecord> {
+    tmu.telemetry()
+        .events()
+        .iter()
+        .filter(|r| r.event.is_lifecycle())
+        .copied()
+        .collect()
+}
+
 #[test]
 fn lifecycle_trace_tells_the_recovery_story() {
     let mut tmu = Tmu::new(cfg(TmuVariant::FullCounter));
+    tmu.enable_telemetry(TelemetryConfig::default());
     let mut mgr = TestMgr::new(Some(write_txn(1, 4)), None);
     let mut sub = TestSub {
         broken: true,
@@ -411,12 +423,61 @@ fn lifecycle_trace_tells_the_recovery_story() {
     run(&mut tmu, &mut mgr, &mut sub, 400, 0);
     tmu.reset_done();
     tmu.commit(401);
-    let lines: Vec<String> = tmu.trace().iter().map(ToString::to_string).collect();
+    let lines: Vec<String> = lifecycle(&tmu).iter().map(ToString::to_string).collect();
     let all = lines.join("\n");
-    assert!(all.contains("timeout"), "{all}");
-    assert!(all.contains("severed link"), "{all}");
-    assert!(all.contains("requesting subordinate reset"), "{all}");
-    assert!(all.contains("monitoring resumed"), "{all}");
+    let stages = [
+        "fault: timeout",
+        "recovery: severed",
+        "recovery: aborts-delivered",
+        "recovery: reset-requested",
+        "recovery: resumed",
+    ];
+    assert_eq!(lines.len(), stages.len(), "{all}");
+    for (line, stage) in lines.iter().zip(stages) {
+        assert!(line.contains(stage), "expected {stage}:\n{all}");
+    }
+}
+
+#[test]
+fn external_isolation_is_a_typed_fault() {
+    let mut tmu = Tmu::new(cfg(TmuVariant::TinyCounter));
+    tmu.enable_telemetry(TelemetryConfig::default());
+    tmu.trigger_isolation("regulator");
+    tmu.commit(5);
+    assert_eq!(tmu.state(), TmuState::Aborting);
+    let records = lifecycle(&tmu);
+    assert_eq!(records.len(), 2, "{records:?}");
+    let (fault, severed) = (records[0], records[1]);
+    assert_eq!(
+        fault.event,
+        TraceEvent::Fault {
+            class: FaultClass::External,
+            dir: None,
+            id: 0,
+            phase: None,
+        }
+    );
+    assert_eq!(
+        severed.event,
+        TraceEvent::Recovery {
+            stage: RecoveryStage::Severed,
+        }
+    );
+    assert_eq!(fault.cycle, 5);
+    assert_eq!(severed.cycle, 5);
+    assert_eq!(severed.seq, fault.seq + 1, "nothing in between");
+    assert!(fault.to_json().contains("\"class\":\"external\""));
+    assert!(matches!(
+        tmu.last_fault().map(|r| r.kind),
+        Some(FaultKind::External("regulator"))
+    ));
+
+    // A disabled hub records nothing for the same isolation.
+    let mut quiet = Tmu::new(cfg(TmuVariant::TinyCounter));
+    quiet.trigger_isolation("regulator");
+    quiet.commit(5);
+    assert_eq!(quiet.state(), TmuState::Aborting);
+    assert_eq!(quiet.telemetry().seq(), 0);
 }
 
 #[test]

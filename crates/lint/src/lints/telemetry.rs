@@ -12,9 +12,9 @@
 //!   allocate (`format!`, `to_string`, `vec!`, …) must sit inside a
 //!   conditional gated on the hub's `enabled()` / `should_sample()`.
 //!   Plain `record` calls with `Copy` events are internally gated and
-//!   need nothing; the lazy `record_with(_, _, || …)` closure form is
-//!   always fine. This turns the "disabled telemetry costs one branch"
-//!   guarantee from a convention into a checked property.
+//!   need nothing; an allocating one must gate on `enabled()`. This
+//!   turns the "disabled telemetry costs one branch" guarantee from a
+//!   convention into a checked property.
 //!
 //! Examples (`examples/`) are demo code, not the fast path, and are
 //! exempt from both checks.
@@ -188,9 +188,8 @@ fn scan_fn_gating(
                     &src.path,
                     t.line,
                     "eagerly-allocating `record(...)` outside an `enabled()` gate — \
-                     use `record_with(_, _, || ...)` or wrap in \
-                     `if hub.enabled() { ... }` to keep the disabled fast path \
-                     allocation-free"
+                     gate on `enabled()` (`if hub.enabled() { ... }`) to keep the \
+                     disabled fast path allocation-free"
                         .to_string(),
                 ));
             }

@@ -1,15 +1,12 @@
 //! Deterministic two-phase cycle-based simulation kernel.
 //!
-//! This crate provides the clocking, tracing and reproducibility plumbing
-//! shared by the TMU reproduction's behavioural models:
+//! This crate provides the clocking, measurement and reproducibility
+//! plumbing shared by the TMU reproduction's behavioural models:
 //!
 //! * [`clock`] — the [`Clock`] cycle counter and [`Reset`] line model.
 //! * [`runner`] — the [`Simulation`] loop that steps a closure per cycle
 //!   until a condition or limit.
-//! * [`trace`] — a bounded [`EventTrace`] of timestamped events for
-//!   debugging and assertions.
-//! * [`stats`] — named [`Stats`] counters and the [`Histogram`] used by
-//!   the TMU's performance logs.
+//! * [`stats`] — the [`Histogram`] used by the TMU's performance logs.
 //! * [`rng`] — a seeded, splittable [`SimRng`] so every experiment is
 //!   bit-reproducible.
 //! * [`vcd`] — a minimal value-change-dump writer for waveform inspection
@@ -45,12 +42,10 @@ pub mod clock;
 pub mod rng;
 pub mod runner;
 pub mod stats;
-pub mod trace;
 pub mod vcd;
 
 pub use clock::{Clock, Reset};
 pub use rng::SimRng;
 pub use runner::{RunOutcome, Simulation, StepStatus};
-pub use stats::{Histogram, Stats};
-pub use trace::{Event, EventMsg, EventTrace};
+pub use stats::Histogram;
 pub use vcd::VcdWriter;

@@ -111,6 +111,8 @@ pub enum FaultClass {
     Timeout,
     /// The embedded protocol checker flagged a rule violation.
     Protocol,
+    /// An external supervisor (a traffic regulator) commanded isolation.
+    External,
 }
 
 impl FaultClass {
@@ -120,6 +122,7 @@ impl FaultClass {
         match self {
             FaultClass::Timeout => "timeout",
             FaultClass::Protocol => "protocol",
+            FaultClass::External => "external",
         }
     }
 }
@@ -298,6 +301,13 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// True for fault and recovery-stage events: rendered in order, they
+    /// are a monitor's human-readable lifecycle trace.
+    #[must_use]
+    pub fn is_lifecycle(&self) -> bool {
+        matches!(self, TraceEvent::Fault { .. } | TraceEvent::Recovery { .. })
+    }
+
     /// Short kebab-case kind tag, used as the JSON `"kind"` field.
     #[must_use]
     pub fn kind(&self) -> &'static str {

@@ -17,9 +17,9 @@
 //!   latency histograms with a periodic sampler that emits JSON-lines
 //!   deltas.
 //!
-//! The stringly [`sim::EventTrace`] ring remains a first-class sink: it
-//! implements [`TelemetrySink`] by formatting each event, so existing
-//! narrative traces keep working.
+//! There is one event vocabulary: a record's `Display` is its
+//! human-readable trace line, so the TMU's fault/recovery lifecycle is
+//! the ring's fault and recovery records, rendered.
 //!
 //! # Hot-path contract
 //!
@@ -66,5 +66,5 @@ pub mod span;
 pub use event::{Channel, Dir, FaultClass, PhaseId, RecoveryStage, TraceEvent};
 pub use hub::{TelemetryConfig, TelemetryHub};
 pub use metrics::{MetricsHub, MetricsSample};
-pub use sink::{EventRing, TelemetryRecord, TelemetrySink};
+pub use sink::{EventRing, TelemetryRecord};
 pub use span::{PhaseSlice, SpanCollector, TxnSpan};

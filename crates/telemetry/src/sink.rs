@@ -1,10 +1,9 @@
-//! Telemetry sinks: where recorded events go.
+//! The typed event ring: where recorded events go.
 //!
-//! [`TelemetrySink`] is the one abstraction threaded through the stack —
-//! anything that can absorb a `(cycle, source, event)` triple. The crate
-//! ships two implementations ([`EventRing`] for typed records,
-//! [`sim::EventTrace`] for the legacy narrative strings) and
-//! [`crate::TelemetryHub`] itself implements the trait so hubs compose.
+//! [`EventRing`] holds the newest sequence-stamped [`TelemetryRecord`]s
+//! of a [`crate::TelemetryHub`]. A record's `Display` is the
+//! human-readable trace line; filtered to fault and recovery records
+//! ([`crate::TraceEvent::is_lifecycle`]) it is the TMU's lifecycle.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -12,12 +11,6 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::event::TraceEvent;
-
-/// Anything that can absorb structured trace events.
-pub trait TelemetrySink {
-    /// Record one event observed at `cycle` by component `source`.
-    fn record_event(&mut self, cycle: u64, source: &'static str, event: &TraceEvent);
-}
 
 /// A sequence-stamped event as stored in an [`EventRing`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,9 +54,9 @@ impl fmt::Display for TelemetryRecord {
 
 /// A bounded ring of typed [`TelemetryRecord`]s.
 ///
-/// The typed counterpart of [`sim::EventTrace`]: when full, the oldest
-/// record is evicted and [`EventRing::dropped`] counts it. Capacity is
-/// *not* preallocated — a hub that is never enabled allocates nothing.
+/// When full, the oldest record is evicted and [`EventRing::dropped`]
+/// counts it. Capacity is *not* preallocated — a hub that is never
+/// enabled allocates nothing.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EventRing {
     records: VecDeque<TelemetryRecord>,
@@ -73,13 +66,16 @@ pub struct EventRing {
 }
 
 impl Default for EventRing {
-    /// A ring with the same default capacity as [`sim::EventTrace`].
+    /// A ring of [`EventRing::DEFAULT_CAPACITY`] records.
     fn default() -> Self {
-        EventRing::new(sim::EventTrace::DEFAULT_CAPACITY)
+        EventRing::new(Self::DEFAULT_CAPACITY)
     }
 }
 
 impl EventRing {
+    /// Default ring bound, in records.
+    pub const DEFAULT_CAPACITY: usize = 4096;
+
     /// Creates a ring bounded to `capacity` records (minimum 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
@@ -89,6 +85,22 @@ impl EventRing {
             dropped: 0,
             next_seq: 0,
         }
+    }
+
+    /// Records one event observed at `cycle` by component `source`,
+    /// evicting the oldest record when the ring is full.
+    pub fn push(&mut self, cycle: u64, source: &'static str, event: TraceEvent) {
+        if self.records.len() == self.capacity {
+            self.records.pop_front();
+            self.dropped += 1;
+        }
+        self.records.push_back(TelemetryRecord {
+            seq: self.next_seq,
+            cycle,
+            source,
+            event,
+        });
+        self.next_seq += 1;
     }
 
     /// Number of records currently held.
@@ -142,32 +154,6 @@ impl EventRing {
     }
 }
 
-impl TelemetrySink for EventRing {
-    fn record_event(&mut self, cycle: u64, source: &'static str, event: &TraceEvent) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(TelemetryRecord {
-            seq: self.next_seq,
-            cycle,
-            source,
-            event: *event,
-        });
-        self.next_seq += 1;
-    }
-}
-
-/// The legacy string ring is a first-class sink: each typed event is
-/// formatted through its `Display` impl, so narrative traces keep
-/// working. The closure-based [`sim::EventTrace::record_with`] means a
-/// disabled trace never formats anything.
-impl TelemetrySink for sim::EventTrace {
-    fn record_event(&mut self, cycle: u64, source: &'static str, event: &TraceEvent) {
-        self.record_with(cycle, source, || event.to_string());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,7 +170,7 @@ mod tests {
     fn ring_stamps_monotonic_sequence_numbers() {
         let mut ring = EventRing::new(8);
         for i in 0..5 {
-            ring.record_event(i, "t", &handshake(i as u16));
+            ring.push(i, "t", handshake(i as u16));
         }
         let seqs: Vec<u64> = ring.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
@@ -196,7 +182,7 @@ mod tests {
     fn eviction_counts_dropped_and_leaves_a_gap() {
         let mut ring = EventRing::new(2);
         for i in 0..5 {
-            ring.record_event(i, "t", &handshake(0));
+            ring.push(i, "t", handshake(0));
         }
         assert_eq!(ring.len(), 2);
         assert_eq!(ring.dropped(), 3);
@@ -209,12 +195,12 @@ mod tests {
     fn clear_preserves_counters() {
         let mut ring = EventRing::new(2);
         for i in 0..3 {
-            ring.record_event(i, "t", &handshake(0));
+            ring.push(i, "t", handshake(0));
         }
         ring.clear();
         assert!(ring.is_empty());
         assert_eq!(ring.dropped(), 1);
-        ring.record_event(9, "t", &handshake(0));
+        ring.push(9, "t", handshake(0));
         assert_eq!(ring.iter().next().unwrap().seq, 3);
     }
 
@@ -229,20 +215,12 @@ mod tests {
     #[test]
     fn record_json_is_one_object() {
         let mut ring = EventRing::new(4);
-        ring.record_event(7, "tmu.write", &handshake(3));
+        ring.push(7, "tmu.write", handshake(3));
         let json = ring.iter().next().unwrap().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"seq\":0"));
         assert!(json.contains("\"cycle\":7"));
         assert!(json.contains("\"kind\":\"handshake\""));
         assert!(ring.to_json().starts_with('['));
-    }
-
-    #[test]
-    fn event_trace_is_a_sink() {
-        let mut trace = sim::EventTrace::with_capacity(16);
-        trace.record_event(4, "tmu.write", &handshake(2));
-        let rendered: Vec<String> = trace.iter().map(|e| e.message.to_string()).collect();
-        assert_eq!(rendered, vec!["AW handshake id=2".to_string()]);
     }
 }

@@ -2,7 +2,10 @@
 //! scenario: a Cheshire-like SoC whose Ethernet IP develops a fault
 //! mid-operation; the TMU detects it, isolates the IP, aborts the
 //! outstanding transactions with `SLVERR`, interrupts the CPU, requests
-//! a hardware reset, and traffic resumes.
+//! a hardware reset, and traffic resumes. The TMU's lifecycle trace is
+//! the fault and recovery records of its telemetry ring, rendered with
+//! their `Display`; the example checks that they tell the whole story,
+//! in order.
 //!
 //! ```text
 //! cargo run --example ethernet_recovery
@@ -10,7 +13,8 @@
 
 use axi_tmu::faults::{FaultClass, FaultPlan, Trigger};
 use axi_tmu::soc::system::{System, SystemConfig};
-use axi_tmu::tmu::{BudgetConfig, TmuConfig};
+use axi_tmu::tmu::telemetry::TelemetryRecord;
+use axi_tmu::tmu::{BudgetConfig, TelemetryConfig, TmuConfig};
 use axi_tmu::tmu::{TmuState, TmuVariant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,6 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SystemConfig::default()
     };
     let mut system = System::new(cfg);
+    system.enable_telemetry(TelemetryConfig::default());
 
     println!("[phase 1] healthy operation");
     system.run(1000);
@@ -36,6 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(system.tmu().faults_detected(), 0);
 
     println!("[phase 2] the Ethernet IP stops accepting write data at cycle 1200");
+    let fault_seq = system.tmu().telemetry().seq();
     system.inject(FaultPlan::new(
         FaultClass::WReadyDrop,
         Trigger::AtCycle(1200),
@@ -62,6 +68,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         system.eth_resets(),
         system.dma_stats().writes_errored
     );
+    // Read the lifecycle now, before phase 4's traffic can evict it from
+    // the bounded ring: every record since the fault must still be held.
+    let telemetry = system.tmu().telemetry();
+    assert!(
+        telemetry.events_dropped() <= fault_seq,
+        "ring evicted {} records, past the fault's seq {fault_seq}",
+        telemetry.events_dropped()
+    );
+    let lifecycle: Vec<TelemetryRecord> = telemetry
+        .events()
+        .iter()
+        .filter(|r| r.seq >= fault_seq)
+        .filter(|r| r.event.is_lifecycle())
+        .copied()
+        .collect();
+    let story: Vec<String> = lifecycle.iter().map(|r| r.event.to_string()).collect();
+    let expected = [
+        "fault: timeout",
+        "recovery: severed",
+        "recovery: aborts-delivered",
+        "recovery: reset-requested",
+        "recovery: resumed",
+    ];
+    assert_eq!(story.len(), expected.len(), "{story:?}");
+    for (line, stage) in story.iter().zip(expected) {
+        assert!(line.starts_with(stage), "expected {stage}: {story:?}");
+    }
 
     println!("[phase 4] software clears the interrupt; traffic resumes");
     system.tmu_mut().clear_irq();
@@ -84,8 +117,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         system.cpu_stats().total_completed()
     );
     println!("\nTMU lifecycle trace:");
-    for event in system.tmu().trace().iter() {
-        println!("  {event}");
+    for record in &lifecycle {
+        println!("  {record}");
     }
     Ok(())
 }
